@@ -15,13 +15,11 @@ __version__ = "0.1.0"
 from .cipher import (
     TaggedCiphertext,
     companion_table,
-    cube_root_by_crt,
     cube_root_by_exponent,
     decrypt,
     decrypt_candidates,
-    decrypt_square,
     encrypt,
-    encrypt_square,
+    kth_root,
     parse_ciphertext,
     serialize_ciphertext,
 )
@@ -39,15 +37,12 @@ from .errors import (
 from .events import (
     GameRound,
     RootGrouping,
-    group_count,
     partition_nine_roots,
-    partition_nine_roots_disjoint,
     play_round,
 )
 from .keys import (
     KeyMaterial,
     KeyMode,
-    classify_modulus,
     generate_key,
     key_from_factors,
     parse_key,
@@ -55,12 +50,9 @@ from .keys import (
 )
 from .modular import (
     crt_combine,
-    ext_gcd,
     is_probable_prime,
-    is_quadratic_residue,
+    kth_root_mod_prime,
     mod_inverse,
-    mod_pow,
-    sqrt_mod_prime,
 )
 from .prng import (
     PrngState,
@@ -72,7 +64,6 @@ from .prng import (
 )
 from .roots import (
     UnityRootSet,
-    alpha_ratio_form,
     cube_roots_of_unity_composite,
     cube_roots_of_unity_prime,
     square_roots_of_unity_composite,
@@ -95,39 +86,30 @@ __all__ = [
     "TagRangeError",
     "TaggedCiphertext",
     "UnityRootSet",
-    "alpha_ratio_form",
-    "classify_modulus",
     "companion_table",
     "crt_combine",
-    "cube_root_by_crt",
     "cube_root_by_exponent",
     "cube_roots_of_unity_composite",
     "cube_roots_of_unity_prime",
     "decrypt",
     "decrypt_candidates",
-    "decrypt_square",
     "digit_stream",
     "encrypt",
-    "encrypt_square",
-    "ext_gcd",
     "generate_key",
-    "group_count",
     "is_probable_prime",
-    "is_quadratic_residue",
     "key_from_factors",
+    "kth_root",
+    "kth_root_mod_prime",
     "mod_inverse",
-    "mod_pow",
     "pack_bits_hex",
     "parse_ciphertext",
     "parse_key",
     "partition_nine_roots",
-    "partition_nine_roots_disjoint",
     "play_round",
     "prng_emit",
     "prng_init",
     "prng_next",
     "serialize_ciphertext",
     "serialize_key",
-    "sqrt_mod_prime",
     "square_roots_of_unity_composite",
 ]

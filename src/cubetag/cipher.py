@@ -22,9 +22,10 @@ from .errors import (
     TagRangeError,
 )
 from .keys import KeyMaterial, KeyMode
-from .modular import crt_combine, mod_inverse, sqrt_mod_prime
+from .modular import crt_combine, kth_root_mod_prime
 
-_SEARCH_FACTOR_LIMIT = 1_000_000
+# Largest modulus companion_table will sweep; the table is exhaustive by design.
+_TABLE_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,8 @@ def cube_root_by_exponent(c: int, key: KeyMaterial) -> int:
     """One cube root of c via a single modular exponentiation.
 
     Only possible when 9 does not divide phi(n): the exponent is
-    (phi+3)/9 for phi = 6 mod 9 and (2*phi+3)/9 for phi = 3 mod 9.
+    3^-1 mod phi/3, i.e. (phi+3)/9 for phi = 6 mod 9 and (2*phi+3)/9 for
+    phi = 3 mod 9. Decryption does not use it (see kth_root).
     """
     if key.mode not in (KeyMode.CUBIC3_PRIME, KeyMode.CUBIC3_COMPOSITE):
         raise ValueError(
@@ -72,66 +74,25 @@ def cube_root_by_exponent(c: int, key: KeyMaterial) -> int:
     phi, n = key.phi, key.n
     if phi is None:
         raise PrivateKeyRequiredError("private key required to invert")
-    root = pow(c, _inverse_cube_exponent(phi), n)
+    root = pow(c, pow(3, -1, phi // 3), n)
     if pow(root, 3, n) != c % n:
         raise NonResidueError(f"{c} is not a cubic residue mod {n}")
     return root
 
 
-def _inverse_cube_exponent(phi: int) -> int:
-    rem = phi % 9
-    if rem == 6:
-        return (phi + 3) // 9
-    if rem == 3:
-        return (2 * phi + 3) // 9
-    raise ValueError(f"phi = {phi} is not 3 or 6 mod 9")
+def kth_root(c: int, key: KeyMaterial) -> int:
+    """One k-th root of c mod n (k the key's exponent): a root modulo each
+    prime factor, recombined by CRT. A prime modulus is the one-factor case.
 
-
-def cube_root_by_crt(c: int, key: KeyMaterial) -> int:
-    """One cube root of c mod n = p*q, solving per factor and combining.
-
-    Per factor: unique root when gcd(3, p-1) = 1, exponent branch when
-    3 | p-1 but 9 does not divide it, and a desk-scale exhaustive search when
-    9 | p-1 (no exponent inverse exists there).
+    Raises NonResidueError when c has no k-th root.
     """
-    if not key.mode.is_composite:
-        raise ValueError("CRT root needs a two-factor modulus")
-    if key.p is None or key.q is None:
-        raise PrivateKeyRequiredError("private factors required for the CRT root")
-    root_p = _cube_root_mod_prime(c % key.p, key.p)
-    root_q = _cube_root_mod_prime(c % key.q, key.q)
-    root = crt_combine(root_p, root_q, key.p, key.q)
-    if pow(root, 3, key.n) != c % key.n:
-        raise NonResidueError(f"{c} is not a cubic residue mod {key.n}")
-    return root
-
-
-def _cube_root_mod_prime(c: int, p: int) -> int:
-    t = p - 1
-    if t % 3 != 0:
-        # Cubing is a bijection mod p; invert the exponent.
-        return pow(c, mod_inverse(3, t), p)
-    if t % 9 != 0:
-        root = pow(c, _inverse_cube_exponent(t), p)
-    else:
-        if p > _SEARCH_FACTOR_LIMIT:
-            raise ValueError(
-                f"factor {p} too large for exhaustive cube-root search (9 | p-1)"
-            )
-        root = next((x for x in range(p) if pow(x, 3, p) == c), None)
-        if root is None:
-            raise NonResidueError(f"{c} is not a cubic residue mod {p}")
-    if pow(root, 3, p) != c:
-        raise NonResidueError(f"{c} is not a cubic residue mod {p}")
-    return root
-
-
-def _square_root_composite(c: int, key: KeyMaterial) -> int:
-    if key.p is None or key.q is None:
-        raise PrivateKeyRequiredError("private factors required to take square roots")
-    root_p = sqrt_mod_prime(c % key.p, key.p)
-    root_q = sqrt_mod_prime(c % key.q, key.q)
-    return crt_combine(root_p, root_q, key.p, key.q)
+    if key.p is None:
+        raise PrivateKeyRequiredError("private factors required to take roots")
+    k = key.mode.exponent
+    root = kth_root_mod_prime(c, key.p, k)
+    if key.q is None:
+        return root
+    return crt_combine(root, kth_root_mod_prime(c, key.q, k), key.p, key.q)
 
 
 def decrypt_candidates(c: int, key: KeyMaterial) -> list[int]:
@@ -140,13 +101,7 @@ def decrypt_candidates(c: int, key: KeyMaterial) -> list[int]:
     Raises InvalidCiphertextError when the set degenerates (fewer distinct
     elements than unity roots), which happens exactly when gcd(c, n) != 1.
     """
-    if key.mode is KeyMode.SQUARE_COMPOSITE:
-        root = _square_root_composite(c, key)
-    elif key.mode is KeyMode.CUBIC9_COMPOSITE:
-        root = cube_root_by_crt(c, key)
-    else:
-        root = cube_root_by_exponent(c, key)
-    candidates = _companions(root, key)
+    candidates = _companions(kth_root(c, key), key)
     if len(set(candidates)) != len(key.roots):
         raise InvalidCiphertextError(
             f"degenerate candidate set for c = {c} (not coprime to the modulus)"
@@ -163,22 +118,6 @@ def decrypt(ct: TaggedCiphertext, key: KeyMaterial) -> int:
     return decrypt_candidates(ct.c, key)[ct.tag - 1]
 
 
-def encrypt_square(m: int, key: KeyMaterial) -> TaggedCiphertext:
-    """Squaring-transformation variant; the tag fits in 2 bits (4 roots)."""
-    _require_square_mode(key)
-    return encrypt(m, key)
-
-
-def decrypt_square(ct: TaggedCiphertext, key: KeyMaterial) -> int:
-    _require_square_mode(key)
-    return decrypt(ct, key)
-
-
-def _require_square_mode(key: KeyMaterial) -> None:
-    if key.mode is not KeyMode.SQUARE_COMPOSITE:
-        raise ValueError(f"square-mode operation on a {key.mode.value} key")
-
-
 def serialize_ciphertext(ct: TaggedCiphertext) -> str:
     return f"c={ct.c}\ntag={ct.tag}\n"
 
@@ -192,15 +131,16 @@ def parse_ciphertext(text: str, mode: KeyMode) -> TaggedCiphertext:
     values = []
     for idx, name in enumerate(("c", "tag")):
         prefix = name + "="
-        if not lines[idx].startswith(prefix) or not lines[idx][len(prefix):].isdigit():
+        value = lines[idx][len(prefix):]
+        if not lines[idx].startswith(prefix) or not (value.isascii() and value.isdigit()):
             raise KeyFileError(
                 f"expected {name}=<decimal>, got {lines[idx]!r}", line=idx + 1
             )
-        values.append(int(lines[idx][len(prefix):]))
+        values.append(int(value))
     return TaggedCiphertext(c=values[0], tag=values[1], mode=mode)
 
 
-def companion_table(key: KeyMaterial, limit: int = _SEARCH_FACTOR_LIMIT):
+def companion_table(key: KeyMaterial, limit: int = _TABLE_LIMIT):
     """Yield (companions, c) rows covering every message coprime to n,
     ordered by each companion set's smallest member.
 

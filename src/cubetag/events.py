@@ -1,10 +1,11 @@
 """Probability events over the nine cube roots of unity.
 
-When phi(n) is divisible by 9 there are nine cube roots of 1 and they can be
-arranged into four triples {1, x, x*x} (each non-1 root paired with its
-square). A sender picks one triple, tags the message within the 3-element
-companion set that triple generates, and the receiver gambles on which
-triple was used: a 1-in-4 event.
+When 3 divides both p-1 and q-1 there are nine cube roots of 1 mod p*q
+(9 | phi(n) alone is not enough). They can be arranged into four triples
+{1, x, x*x} (each non-1 root paired with its square). A sender picks one
+triple, tags the message within the 3-element companion set that triple
+generates, and the receiver gambles on which triple was used: a 1-in-4
+event.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cipher import cube_root_by_crt
+from .cipher import kth_root
 from .errors import InvalidMessageError
-from .keys import KeyMaterial, KeyMode
+from .keys import KeyMaterial
 from .roots import UnityRootSet
 
 
@@ -45,25 +46,6 @@ def partition_nine_roots(roots: UnityRootSet) -> RootGrouping:
         groups.append((1, x, square))
     groups.sort(key=lambda triple: triple[1])
     return RootGrouping(modulus=n, groups=tuple(groups))
-
-
-def partition_nine_roots_disjoint(roots: UnityRootSet) -> tuple[tuple[int, int, int], ...]:
-    """Documented variant: three disjoint triples by ascending order.
-
-    Not used by the game protocol; the canonical grouping is the
-    squares-pairing one from partition_nine_roots.
-    """
-    if len(roots) != 9:
-        raise ValueError(f"expected 9 roots, got {len(roots)}")
-    ordered = roots.roots
-    return tuple(ordered[i:i + 3] for i in range(0, 9, 3))
-
-
-def group_count(k: int) -> int:
-    """Number of {1, x, x**2, ...} groups for odd exponent k: always k + 1."""
-    if k < 3 or k % 2 == 0:
-        raise ValueError(f"k must be odd and >= 3, got {k}")
-    return k + 1
 
 
 @dataclass(frozen=True)
@@ -107,8 +89,8 @@ def play_round(
     """Run one round: Alice encrypts and tags with her triple, Bob decodes
     with his; success iff the triple choices match (probability 1/4 under
     uniform independent choices)."""
-    if key.mode is not KeyMode.CUBIC9_COMPOSITE:
-        raise ValueError(f"the game needs a CUBIC9 key, got {key.mode.value}")
+    if key.unity_roots is None or len(key.unity_roots) != 9:
+        raise ValueError("the game needs a private key with nine cube roots of 1")
     grouping = partition_nine_roots(key.roots)
     if not (1 <= alice_choice <= 4 and 1 <= bob_choice <= 4):
         raise ValueError("group choices must be in [1, 4]")
@@ -125,7 +107,7 @@ def play_round(
     c = pow(m, 3, n)
 
     # Receiver side, self-contained: rebuild the nine roots from c alone.
-    root = cube_root_by_crt(c, key)
+    root = kth_root(c, key)
     bob_nine = sorted(root * u % n for u in key.roots)
     bob_cosets = _cosets(bob_nine, grouping.groups[bob_choice - 1], n)
     recovered = bob_cosets[coset_index - 1][tag - 1]

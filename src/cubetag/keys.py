@@ -1,4 +1,4 @@
-"""Key generation, classification, and the line-oriented key file format.
+"""Key generation and the line-oriented key file format.
 
 A key fixes the modulus and which transformation applies:
 
@@ -40,10 +40,6 @@ class KeyMode(enum.Enum):
         """Public transformation exponent: cube or square."""
         return 2 if self is KeyMode.SQUARE_COMPOSITE else 3
 
-    @property
-    def is_composite(self) -> bool:
-        return self is not KeyMode.CUBIC3_PRIME
-
 
 @dataclass(frozen=True)
 class KeyMaterial:
@@ -76,33 +72,6 @@ class KeyMaterial:
     def public(self) -> "KeyMaterial":
         """Strip everything but the mode and modulus."""
         return KeyMaterial(mode=self.mode, n=self.n)
-
-
-def classify_modulus(p: int, q: int | None = None) -> KeyMode | None:
-    """Cubic mode applicable to a prime p or a pair p, q; None if none is.
-
-    None means cubing needs no tag machinery here: either gcd(3, phi) = 1 and
-    cubing is a bijection, or (single prime) p falls outside the supported
-    prime-mode shape (9 | p-1 defeats exponent inversion, and prime mode
-    keeps the p = 3 mod 4 restriction).
-    """
-    _require_prime(p)
-    if q is None:
-        phi = p - 1
-        if phi % 3 != 0:
-            return None
-        if phi % 9 == 0 or p % 4 != 3:
-            return None
-        return KeyMode.CUBIC3_PRIME
-    _require_prime(q)
-    if p == q:
-        raise ValueError("factors must be distinct")
-    phi = (p - 1) * (q - 1)
-    if phi % 3 != 0:
-        return None
-    if phi % 9 == 0:
-        return KeyMode.CUBIC9_COMPOSITE
-    return KeyMode.CUBIC3_COMPOSITE
 
 
 def _require_prime(value: int) -> None:
@@ -210,8 +179,8 @@ def generate_key(
         fp = _random_prime(rng, p_bits, lambda c: c % 9 in (4, 7))
         fq = _random_prime(rng, q_bits, lambda c: c % 3 == 2 and c != fp)
     elif mode is KeyMode.CUBIC9_COMPOSITE:
-        # 3 || p-1 for both factors: nine unity roots, and each factor keeps
-        # the exponent inversion path (9 never divides p-1).
+        # 3 | p-1 for both factors gives nine unity roots; the search keeps
+        # to 3 || p-1 (9 never divides p-1), the shape keys have always had.
         fp = _random_prime(rng, p_bits, lambda c: c % 9 in (4, 7))
         fq = _random_prime(rng, q_bits, lambda c: c % 9 in (4, 7) and c != fp)
     elif mode is KeyMode.SQUARE_COMPOSITE:
@@ -262,7 +231,7 @@ def parse_key(text: str) -> KeyMaterial:
         if not lines[idx].startswith(prefix):
             raise KeyFileError(f"expected {name}=<decimal>, got {lines[idx]!r}", line=idx + 1)
         value = lines[idx][len(prefix):]
-        if not value.isdigit():
+        if not (value.isascii() and value.isdigit()):
             raise KeyFileError(f"{name} is not a decimal integer: {value!r}", line=idx + 1)
         return int(value)
 

@@ -24,129 +24,82 @@ _SMALL_PRIMES = (
 )
 
 
-def _require_nonnegative(**values: int) -> None:
-    for name, value in values.items():
-        if value < 0:
-            raise ValueError(f"{name} must be non-negative, got {value}")
-
-
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """Return base**exponent mod modulus, reduced into [0, modulus)."""
-    _require_nonnegative(base=base, exponent=exponent)
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    return pow(base, exponent, modulus)
-
-
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b).
-
-    x and y may be negative; g is always non-negative.
-    """
-    _require_nonnegative(a=a, b=b)
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    return old_r, old_x, old_y
-
-
 def mod_inverse(a: int, modulus: int) -> int:
     """Return b in [1, modulus) with a*b = 1 mod modulus.
 
     Raises NotInvertibleError when gcd(a, modulus) != 1; the exception carries
     the gcd because for a composite modulus that value is a factor.
     """
-    _require_nonnegative(a=a)
+    if a < 0:
+        raise ValueError(f"a must be non-negative, got {a}")
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
     a %= modulus
-    if a == 0:
-        raise NotInvertibleError(a, modulus, modulus)
-    g, x, _ = ext_gcd(a, modulus)
-    if g != 1:
-        raise NotInvertibleError(a, modulus, g)
-    return x % modulus
+    try:
+        return pow(a, -1, modulus)
+    except ValueError:
+        raise NotInvertibleError(a, modulus, math.gcd(a, modulus)) from None
 
 
 def crt_combine(residue_p: int, residue_q: int, p: int, q: int) -> int:
     """Combine residues mod p and mod q into the unique value mod p*q.
 
-    Computed as r_p*q*(q^-1 mod p) + r_q*p*(p^-1 mod q), reduced mod p*q.
+    Garner's form: r_q + q*((r_p - r_q)*(q^-1 mod p) mod p).
     """
-    _require_nonnegative(residue_p=residue_p, residue_q=residue_q)
     if p < 2 or q < 2:
         raise ValueError("crt moduli must be >= 2")
     if math.gcd(p, q) != 1:
         raise ValueError(f"crt moduli must be coprime, gcd({p}, {q}) != 1")
-    q_inv_mod_p = mod_inverse(q, p)
-    p_inv_mod_q = mod_inverse(p, q)
-    return (residue_p * q * q_inv_mod_p + residue_q * p * p_inv_mod_q) % (p * q)
+    residue_q %= q
+    return residue_q + q * ((residue_p - residue_q) * pow(q, -1, p) % p)
 
 
-def is_quadratic_residue(b: int, p: int) -> bool:
-    """Euler's criterion: true iff b is a nonzero square mod odd prime p."""
-    if p < 3 or p % 2 == 0:
-        raise ValueError(f"modulus must be an odd prime, got {p}")
-    b %= p
-    if b == 0:
-        raise ValueError("0 is neither a residue nor a non-residue here")
-    return pow(b, (p - 1) // 2, p) == 1
+def kth_root_mod_prime(c: int, p: int, k: int) -> int:
+    """Return one k-th root of c mod an odd prime p, for k = 2 or 3.
 
-
-def sqrt_mod_prime(b: int, p: int) -> int:
-    """Return the smaller square root r of b mod odd prime p (r and p-r both work).
-
-    Uses the (p+1)/4 exponent when p = 3 mod 4, Tonelli-Shanks otherwise.
-    Raises NonResidueError when b has no square root.
+    Adleman-Manders-Miller: write p-1 = k**s * t with k not dividing t and
+    guess x = c**(k^-1 mod t). The guess is a root whenever s <= 1 and c is a
+    residue; otherwise x**k / c lies in the order-k**s subgroup and x is
+    corrected there one base-k digit at a time. For k = 2 this is
+    Tonelli-Shanks. Raises NonResidueError when c has no k-th root.
     """
+    if k not in (2, 3):
+        raise ValueError(f"root order must be 2 or 3, got {k}")
     if p < 3 or p % 2 == 0:
         raise ValueError(f"modulus must be an odd prime, got {p}")
-    b %= p
-    if b == 0:
+    c %= p
+    if c == 0:
         return 0
-    if p % 4 == 3:
-        r = pow(b, (p + 1) // 4, p)
-        if r * r % p != b:
-            raise NonResidueError(f"{b} has no square root mod {p}")
-        return min(r, p - r)
-    if not is_quadratic_residue(b, p):
-        raise NonResidueError(f"{b} has no square root mod {p}")
-    r = _tonelli_shanks(b, p)
-    return min(r, p - r)
-
-
-def _tonelli_shanks(b: int, p: int) -> int:
-    # p odd prime, p = 1 mod 4, b a known quadratic residue.
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    z = 2
-    while is_quadratic_residue(z, p):
-        z += 1
-    c = pow(z, d, p)
-    x = pow(b, (d + 1) // 2, p)
-    t = pow(b, d, p)
-    m = s
-    while t != 1:
-        t2i = t
-        i = 0
+    s, t = 0, p - 1
+    while t % k == 0:
+        s, t = s + 1, t // k
+    inverse_k = pow(k, -1, t)
+    x = pow(c, inverse_k, p)
+    if s == 0 or pow(x, k, p) == c:
+        return x
+    error = pow(c, k * inverse_k - 1, p)  # x**k / c
+    generator = zeta = None
+    m = s  # for a residue, error has order below k**m; generator has order k**m
+    while error != 1:
+        top = error
         for i in range(1, m):
-            t2i = t2i * t2i % p
-            if t2i == 1:
+            lifted = pow(top, k, p)
+            if lifted == 1:
                 break
-        g = pow(c, 1 << (m - i - 1), p)
-        x = x * g % p
-        c = g * g % p
-        t = t * c % p
-        m = i
+            top = lifted
+        else:
+            raise NonResidueError(f"{c} has no {'square' if k == 2 else 'cube'} root mod {p}")
+        # top = error**(k**(i-1)) = zeta**j for some 0 < j < k.
+        if generator is None:
+            g = 2
+            while (zeta := pow(g, (p - 1) // k, p)) == 1:
+                g += 1
+            generator = pow(g, t, p)
+        w = pow(generator, k ** (m - i - 1), p)
+        generator, m = pow(w, k, p), i
+        step = k - 1 if top == zeta else 1  # k - j, so zeta**step * top == 1
+        x = x * pow(w, step, p) % p
+        error = error * pow(generator, step, p) % p
     return x
 
 

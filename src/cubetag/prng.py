@@ -1,9 +1,9 @@
 """Pseudorandom generation by iterated cubing modulo n.
 
-The state evolves as s -> s**3 mod n with n = p*q and phi(n) divisible by 9,
-so every state has nine cube-root preimages and inverting a step is as hard
-as the nine-root decryption problem. Output digits are the state reduced to
-a caller-chosen radix (2 for bits).
+The state evolves as s -> s**3 mod n with n = p*q and nine cube roots of 1
+(3 divides both p-1 and q-1), so every state has nine cube-root preimages
+and inverting a step is as hard as the nine-root decryption problem. Output
+digits are the state reduced to a caller-chosen radix (2 for bits).
 
 Small moduli cycle quickly (mod 91 the state enters the (8, 57) cycle); that
 is fine for testing and inherent to desk-scale parameters. Seeds equal to a
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .keys import KeyMaterial, KeyMode
+from .keys import KeyMaterial
 
 
 @dataclass(frozen=True)
@@ -26,12 +26,10 @@ class PrngState:
 
 
 def prng_init(key: KeyMaterial, seed: int) -> PrngState:
-    """Start a generator at seed s0; requires a CUBIC9 key (9 | phi) and
-    gcd(s0, n) = 1 with 1 < s0 < n."""
-    if key.mode is not KeyMode.CUBIC9_COMPOSITE:
-        raise ValueError(f"generator needs a CUBIC9 key (9 | phi), got {key.mode.value}")
-    if key.phi is None or key.phi % 9 != 0:
-        raise ValueError("generator needs the private key with 9 | phi")
+    """Start a generator at seed s0; requires a private key with nine cube
+    roots of 1 (so 9 | phi) and gcd(s0, n) = 1 with 1 < s0 < n."""
+    if key.unity_roots is None or len(key.unity_roots) != 9:
+        raise ValueError("generator needs a private key with nine cube roots of 1")
     n = key.n
     if not 1 < seed < n:
         raise ValueError(f"seed must be in (1, {n}), got {seed}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .modular import crt_combine, is_probable_prime, mod_inverse, sqrt_mod_prime
+from .modular import crt_combine, is_probable_prime, kth_root_mod_prime, mod_inverse
 
 
 @dataclass(frozen=True)
@@ -60,29 +60,11 @@ def cube_roots_of_unity_prime(p: int) -> UnityRootSet:
     _require_odd_prime(p)
     if p % 3 != 1:
         return UnityRootSet(p, 3, (1,))
-    s = sqrt_mod_prime(p - 3, p)
+    s = kth_root_mod_prime(p - 3, p, 2)
     half = mod_inverse(2, p)
     a1 = (s - 1) * half % p
     a2 = (-1 - s) * half % p
     return UnityRootSet(p, 3, tuple(sorted({1, a1, a2})))
-
-
-def alpha_ratio_form(p: int) -> int:
-    """Nontrivial cube root of 1 as the ratio (-1 + s) / (-1 - s) mod p.
-
-    Here s is the raw (p+1)/4-exponent square root of p-3, so p must be
-    1 mod 3 (a root exists) and 3 mod 4 (the exponent shortcut applies).
-    """
-    _require_odd_prime(p)
-    if p % 3 != 1:
-        raise ValueError(f"{p} = 2 mod 3 has only the trivial cube root of 1")
-    if p % 4 != 3:
-        raise ValueError(f"exponent shortcut needs p = 3 mod 4, got {p}")
-    s = pow(p - 3, (p + 1) // 4, p)
-    u = (s - 1) * mod_inverse((-1 - s) % p, p) % p
-    if pow(u, 3, p) != 1:
-        raise ArithmeticError(f"ratio form failed for {p}")
-    return u
 
 
 def cube_roots_of_unity_composite(p: int, q: int) -> UnityRootSet:

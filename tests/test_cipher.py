@@ -12,15 +12,13 @@ from cubetag import (
     TagRangeError,
     TaggedCiphertext,
     companion_table,
-    cube_root_by_crt,
     cube_root_by_exponent,
     decrypt,
     decrypt_candidates,
-    decrypt_square,
     encrypt,
-    encrypt_square,
     generate_key,
     key_from_factors,
+    kth_root,
     parse_ciphertext,
     serialize_ciphertext,
 )
@@ -108,34 +106,35 @@ class TestCubeRootByExponent:
 
 class TestCubeRootByCrt:
     def test_nine_root_example(self, key91):
-        root = cube_root_by_crt(83, key91)
+        root = kth_root(83, key91)
         assert root in (20, 24, 33, 34, 47, 59, 73, 76, 89)
 
     def test_unity(self, key91):
-        assert cube_root_by_crt(1, key91) in key91.unity_roots.roots
+        assert kth_root(1, key91) in key91.unity_roots.roots
 
     def test_three_root_composite(self, key77):
-        root = cube_root_by_crt(34, key77)
+        root = kth_root(34, key77)
         assert root in (12, 34, 45)
 
     def test_search_path_when_nine_divides_factor_totient(self):
+        # 9 | 18: the mod-19 root needs digit correction
         key = key_from_factors(KeyMode.CUBIC9_COMPOSITE, 19, 5)
         for m in (2, 17, 41):
             c = pow(m, 3, 95)
-            root = cube_root_by_crt(c, key)
+            root = kth_root(c, key)
             assert pow(root, 3, 95) == c
 
-    def test_search_refused_for_large_factor(self):
-        # 9 | p-1 with p beyond the desk-scale search bound: no exponent
-        # branch exists mod p and exhaustive search is refused
+    def test_large_factor_with_nine_dividing_totient(self):
+        # 9 | p-1 with p above the old exhaustive-search bound of 10**6
         key = key_from_factors(KeyMode.CUBIC9_COMPOSITE, 1000099, 5)
-        c = pow(2, 3, key.n)
-        with pytest.raises(ValueError):
-            cube_root_by_crt(c, key)
+        for m in (2, 3, 123456, key.n - 1):
+            c = pow(m, 3, key.n)
+            assert pow(kth_root(c, key), 3, key.n) == c
+            assert decrypt(encrypt(m, key), key) == m
 
     def test_needs_private_key(self, key91):
         with pytest.raises(PrivateKeyRequiredError):
-            cube_root_by_crt(83, key91.public())
+            kth_root(83, key91.public())
 
 
 class TestDecrypt:
@@ -181,10 +180,19 @@ class TestDecrypt:
             }
             assert tags == set(range(1, count + 1))
 
+    def test_probe_key_round_trips(self):
+        # 9 | p-1 for p = 1000081 and 3 || q-1: a CUBIC9 key with only 3 roots
+        key = key_from_factors(KeyMode.CUBIC9_COMPOSITE, 1000081, 1000037)
+        assert len(key.roots) == 3
+        for m in (2, 3, 1000080, 987654321, key.n - 1):
+            ct = encrypt(m, key)
+            assert decrypt(ct, key) == m
+            assert decrypt_candidates(ct.c, key) == sorted(m * u % key.n for u in key.roots)
+
 
 class TestSquareMode:
     def test_derived_example(self, key77_square):
-        ct = encrypt_square(12, key77_square)
+        ct = encrypt(12, key77_square)
         assert (ct.c, ct.tag) == (67, 1)
         assert decrypt_candidates(67, key77_square) == [12, 23, 54, 65]
 
@@ -193,9 +201,9 @@ class TestSquareMode:
         for m in range(1, 77):
             if math.gcd(m, 77) != 1:
                 continue
-            ct = encrypt_square(m, key77_square)
+            ct = encrypt(m, key77_square)
             tags.add(ct.tag)
-            assert decrypt_square(ct, key77_square) == m
+            assert decrypt(ct, key77_square) == m
         assert tags == {1, 2, 3, 4}
 
     def test_candidates_match_brute_force(self, key77_square):
@@ -203,14 +211,8 @@ class TestSquareMode:
         for m in range(1, 77):
             if math.gcd(m, 77) != 1:
                 continue
-            ct = encrypt_square(m, key77_square)
+            ct = encrypt(m, key77_square)
             assert decrypt_candidates(ct.c, key77_square) == preimages[ct.c]
-
-    def test_mode_guards(self, key77, key77_square):
-        with pytest.raises(ValueError):
-            encrypt_square(12, key77)
-        with pytest.raises(ValueError):
-            decrypt_square(TaggedCiphertext(67, 1, key77_square.mode), key77)
 
 
 class TestCompanionTable:
@@ -243,6 +245,7 @@ class TestCiphertextFiles:
         assert parse_ciphertext(text, key91.mode) == ct
 
     def test_malformed_rejected(self, key91):
-        for bad in ("", "c=83\n", "c=83\ntag=2\nextra=1\n", "tag=2\nc=83\n", "c=83\ntag=x\n"):
+        for bad in ("", "c=83\n", "c=83\ntag=2\nextra=1\n", "tag=2\nc=83\n", "c=83\ntag=x\n",
+                    "c=\u0661\ntag=1\n", "c=83\ntag=\u00b2\n"):
             with pytest.raises(KeyFileError):
                 parse_ciphertext(bad, key91.mode)

@@ -2,8 +2,8 @@
 
 Every valid key of every mode with modulus below 10000, every coprime
 message: decrypt(encrypt(m)) == m. The nine-root keys where a factor's
-totient is divisible by 9 exercise the per-factor exhaustive search path,
-which makes this take minutes; run it with `pytest -m slow`.
+totient is divisible by 9 exercise the digit-correction branch of the
+per-factor root. The sweep takes minutes; run it with `pytest -m slow`.
 """
 
 import math

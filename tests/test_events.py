@@ -6,10 +6,8 @@ import pytest
 from cubetag import (
     InvalidMessageError,
     KeyMode,
-    group_count,
     key_from_factors,
     partition_nine_roots,
-    partition_nine_roots_disjoint,
     play_round,
 )
 from oracles import sieve
@@ -63,26 +61,6 @@ class TestPartition:
                 checked += 1
         assert checked > 100
 
-    def test_disjoint_variant(self, key91):
-        triples = partition_nine_roots_disjoint(key91.roots)
-        assert triples == ((1, 9, 16), (22, 29, 53), (74, 79, 81))
-        assert len({u for t in triples for u in t}) == 9
-
-
-class TestGroupCount:
-    @pytest.mark.parametrize("k,expected", [(3, 4), (5, 6), (9, 10)])
-    def test_known_values(self, k, expected):
-        assert group_count(k) == expected
-
-    @pytest.mark.parametrize("k", [2, 4, 1, 0])
-    def test_invalid_rejected(self, k):
-        with pytest.raises(ValueError):
-            group_count(k)
-
-    def test_difference_of_squares_identity(self):
-        for k in range(3, 100, 2):
-            assert group_count(k) * (k - 1) == k * k - 1
-
 
 class TestPlayRound:
     def test_matching_choice_recovers_message(self, key91):
@@ -124,6 +102,10 @@ class TestPlayRound:
     def test_three_root_key_rejected(self, key77):
         with pytest.raises(ValueError):
             play_round(key77, 12, 1, 1)
+        # a CUBIC9 key whose roots come from one factor alone has only 3
+        probe = key_from_factors(KeyMode.CUBIC9_COMPOSITE, 1000081, 1000037)
+        with pytest.raises(ValueError, match="nine cube roots"):
+            play_round(probe, 12, 1, 1)
 
     def test_non_coprime_message_rejected(self, key91):
         with pytest.raises(InvalidMessageError):

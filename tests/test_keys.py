@@ -5,7 +5,6 @@ from cubetag import (
     KeyGenerationError,
     KeyMaterial,
     KeyMode,
-    classify_modulus,
     generate_key,
     key_from_factors,
     parse_key,
@@ -14,7 +13,24 @@ from cubetag import (
 from oracles import sieve
 
 
+def _accepted_cubic_mode(p, q=None):
+    """The cubic mode key_from_factors accepts for a prime or a pair, or None."""
+    modes = [KeyMode.CUBIC3_PRIME] if q is None else [
+        KeyMode.CUBIC3_COMPOSITE, KeyMode.CUBIC9_COMPOSITE]
+    accepted = []
+    for mode in modes:
+        try:
+            key_from_factors(mode, p, q)
+        except KeyGenerationError:
+            continue
+        accepted.append(mode)
+    assert len(accepted) <= 1
+    return accepted[0] if accepted else None
+
+
 class TestClassifyModulus:
+    """Which cubic mode a factor set satisfies, as key_from_factors enforces it."""
+
     @pytest.mark.parametrize(
         "p,q,expected",
         [
@@ -25,7 +41,7 @@ class TestClassifyModulus:
         ],
     )
     def test_composite(self, p, q, expected):
-        assert classify_modulus(p, q) == expected
+        assert _accepted_cubic_mode(p, q) == expected
 
     @pytest.mark.parametrize(
         "p,expected",
@@ -37,20 +53,20 @@ class TestClassifyModulus:
         ],
     )
     def test_single_prime(self, p, expected):
-        assert classify_modulus(p) == expected
+        assert _accepted_cubic_mode(p) == expected
 
     def test_non_prime_rejected(self):
         with pytest.raises(ValueError):
-            classify_modulus(21)
+            _accepted_cubic_mode(21)
         with pytest.raises(ValueError):
-            classify_modulus(7, 15)
+            _accepted_cubic_mode(7, 15)
 
     def test_equal_factors_rejected(self):
         with pytest.raises(ValueError):
-            classify_modulus(7, 7)
+            _accepted_cubic_mode(7, 7)
 
     def test_agrees_with_totient_arithmetic_below_100(self):
-        primes = sieve(100)
+        primes = sieve(100)[1:]  # key_from_factors takes odd primes only
         for i, p in enumerate(primes):
             for q in primes[i + 1:]:
                 phi = (p - 1) * (q - 1)
@@ -60,7 +76,7 @@ class TestClassifyModulus:
                     expected = KeyMode.CUBIC9_COMPOSITE
                 else:
                     expected = KeyMode.CUBIC3_COMPOSITE
-                assert classify_modulus(p, q) == expected
+                assert _accepted_cubic_mode(p, q) == expected
 
 
 class TestForcedKeys:
@@ -182,9 +198,11 @@ class TestKeyFiles:
         assert info.value.line == 1
 
     def test_bad_decimal_rejected(self):
-        with pytest.raises(KeyFileError) as info:
-            parse_key("mode=CUBIC3_COMPOSITE\nn=sixtyfive\n")
-        assert info.value.line == 2
+        # superscript two and Arabic-Indic seven pass str.isdigit but are not ASCII
+        for value in ("sixtyfive", "\u00b2", "7\u0667", "+77", " 77", ""):
+            with pytest.raises(KeyFileError) as info:
+                parse_key(f"mode=CUBIC3_COMPOSITE\nn={value}\n")
+            assert info.value.line == 2
 
     def test_misordered_fields_rejected(self, key77):
         text = serialize_key(key77).replace("p=7\nq=11", "q=11\np=7")

@@ -9,76 +9,47 @@ from cubetag import (
     NonResidueError,
     NotInvertibleError,
     crt_combine,
-    ext_gcd,
     is_probable_prime,
-    is_quadratic_residue,
+    kth_root_mod_prime,
     mod_inverse,
-    mod_pow,
-    sqrt_mod_prime,
 )
-from oracles import naive_mod_pow, sieve, smallest_sqrt, squares_mod, trial_division_prime
-
-
-class TestModPow:
-    @pytest.mark.parametrize(
-        "base,exponent,modulus,expected",
-        [
-            (2, 7, 31, 4),
-            (28, 8, 31, 20),
-            (34, 7, 77, 34),
-            (5, 0, 31, 1),
-            (123456789, 0, 77, 1),
-        ],
-    )
-    def test_known_values(self, base, exponent, modulus, expected):
-        assert mod_pow(base, exponent, modulus) == expected
-
-    @pytest.mark.parametrize("modulus", [1, 0])
-    def test_small_modulus_rejected(self, modulus):
-        with pytest.raises(ValueError):
-            mod_pow(2, 3, modulus)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            mod_pow(-2, 3, 7)
-        with pytest.raises(ValueError):
-            mod_pow(2, -3, 7)
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        base=st.integers(min_value=0, max_value=1 << 16),
-        exponent=st.integers(min_value=0, max_value=1 << 16),
-        modulus=st.integers(min_value=2, max_value=1 << 16),
-    )
-    def test_matches_naive_multiplication(self, base, exponent, modulus):
-        assert mod_pow(base, exponent, modulus) == naive_mod_pow(base, exponent, modulus)
+from oracles import sieve, squares_mod, trial_division_prime
+from shaped_primes import SHAPED_PRIMES
 
 
 class TestExtGcd:
+    """The extended-gcd facts mod_inverse relies on: a Bezout coefficient
+    when gcd(a, m) = 1, and the gcd itself (a factor of m) otherwise."""
+
     def test_coprime_primes(self):
-        g, x, y = ext_gcd(7, 11)
-        assert g == 1 and 7 * x + 11 * y == 1
+        x = mod_inverse(7, 11)
+        assert (7 * x - 1) % 11 == 0
 
     def test_common_factor(self):
-        g, x, y = ext_gcd(12, 8)
-        assert g == 4 and 12 * x + 8 * y == 4
+        with pytest.raises(NotInvertibleError) as info:
+            mod_inverse(12, 8)
+        assert info.value.gcd == 4
 
     def test_identity(self):
-        assert ext_gcd(1, 99) == (1, 1, 0)
+        assert mod_inverse(1, 99) == 1
 
     def test_both_zero_rejected(self):
         with pytest.raises(ValueError):
-            ext_gcd(0, 0)
+            mod_inverse(0, 0)
 
     @settings(max_examples=200, deadline=None)
     @given(a=st.integers(min_value=0, max_value=1 << 64),
-           b=st.integers(min_value=0, max_value=1 << 64))
+           b=st.integers(min_value=2, max_value=1 << 64))
     def test_bezout_identity(self, a, b):
-        if a == 0 and b == 0:
+        g = math.gcd(a, b)
+        if g != 1:
+            with pytest.raises(NotInvertibleError) as info:
+                mod_inverse(a, b)
+            assert info.value.gcd == g
             return
-        g, x, y = ext_gcd(a, b)
-        assert g == math.gcd(a, b)
-        assert a * x + b * y == g
+        x = mod_inverse(a, b)
+        assert 1 <= x < b
+        assert (a * x - 1) % b == 0
 
 
 class TestModInverse:
@@ -125,21 +96,20 @@ class TestCrtCombine:
 
 
 class TestQuadraticResidue:
+    """Residue detection: a square root exists or NonResidueError is raised."""
+
     def test_paper_cases(self):
-        assert is_quadratic_residue(8, 11) is False
-        assert is_quadratic_residue(4, 7) is True
+        with pytest.raises(NonResidueError):
+            kth_root_mod_prime(8, 11, 2)
+        assert kth_root_mod_prime(4, 7, 2) in (2, 5)
 
     @pytest.mark.parametrize("p", [3, 7, 11, 31, 97])
     def test_one_is_always_square(self, p):
-        assert is_quadratic_residue(1, p) is True
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            is_quadratic_residue(11, 11)
+        assert kth_root_mod_prime(1, p, 2) in (1, p - 1)
 
     def test_even_modulus_rejected(self):
         with pytest.raises(ValueError):
-            is_quadratic_residue(3, 8)
+            kth_root_mod_prime(3, 8, 2)
 
     def test_agrees_with_enumeration_below_500(self):
         for p in sieve(500):
@@ -147,40 +117,83 @@ class TestQuadraticResidue:
                 continue
             squares = squares_mod(p)
             for b in range(1, p):
-                assert is_quadratic_residue(b, p) == (b in squares)
+                if b in squares:
+                    kth_root_mod_prime(b, p, 2)
+                else:
+                    with pytest.raises(NonResidueError):
+                        kth_root_mod_prime(b, p, 2)
 
 
 class TestSqrtModPrime:
-    def test_canonical_root_is_smaller(self):
-        # both 11 and 20 square to 28 mod 31; the smaller one is returned
-        assert sqrt_mod_prime(28, 31) == 11
-        assert pow(20, 2, 31) == 28
-
     def test_trivial(self):
-        assert sqrt_mod_prime(1, 31) == 1
-        assert sqrt_mod_prime(0, 31) == 0
+        assert kth_root_mod_prime(1, 31, 2) in (1, 30)
+        assert kth_root_mod_prime(0, 31, 2) == 0
 
     def test_small_case_from_enumeration(self):
         # 3*3 = 4*4 = 2 mod 7
-        assert sqrt_mod_prime(2, 7) == 3
+        assert kth_root_mod_prime(2, 7, 2) in (3, 4)
 
     def test_non_residue_rejected(self):
         with pytest.raises(NonResidueError):
-            sqrt_mod_prime(8, 11)
+            kth_root_mod_prime(8, 11, 2)
         with pytest.raises(NonResidueError):
-            sqrt_mod_prime(3, 5)  # tonelli path, p = 1 mod 4
+            kth_root_mod_prime(3, 5, 2)  # p = 1 mod 4: the digit-correction path
 
     def test_matches_exhaustive_search_below_500(self):
-        # covers both the (p+1)/4 shortcut and the general algorithm
+        # covers both the single-exponent path and digit correction
         for p in sieve(500):
             if p == 2:
                 continue
-            squares = squares_mod(p)
-            for b in range(1, p):
-                if b in squares:
-                    r = sqrt_mod_prime(b, p)
-                    assert r * r % p == b
-                    assert r == smallest_sqrt(b, p)
+            for b in squares_mod(p):
+                r = kth_root_mod_prime(b, p, 2)
+                assert 0 < r < p and r * r % p == b
+
+
+def _check_every_residue(p: int, k: int) -> None:
+    """Every residue mod p round-trips; every non-residue raises."""
+    residues = {pow(x, k, p) for x in range(1, p)}
+    assert kth_root_mod_prime(0, p, k) == 0
+    for c in range(1, p):
+        if c in residues:
+            assert pow(kth_root_mod_prime(c, p, k), k, p) == c
+        else:
+            with pytest.raises(NonResidueError):
+                kth_root_mod_prime(c, p, k)
+
+
+class TestKthRootModPrime:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_brute_force_below_2000(self, k):
+        for p in sieve(2000)[1:]:
+            _check_every_residue(p, k)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_brute_force_below_10000(self, k):
+        for p in sieve(10_000)[1:]:
+            _check_every_residue(p, k)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_unsupported_order_rejected(self, k):
+        with pytest.raises(ValueError):
+            kth_root_mod_prime(2, 31, k)
+
+    # The shapes give s = 1 and s >= 2 for k = 2, and s = 0, 1 and >= 2 for k = 3.
+    @pytest.mark.parametrize("shape", sorted(SHAPED_PRIMES), ids=lambda s: "-".join(map(str, s)))
+    @pytest.mark.parametrize("k", [2, 3])
+    @settings(max_examples=3, deadline=None)
+    @given(x=st.integers(min_value=1, max_value=1 << 2048))
+    def test_real_sizes_by_shape(self, k, shape, x):
+        p = SHAPED_PRIMES[shape]
+        x = x % (p - 1) + 1
+        c = pow(x, k, p)
+        assert pow(kth_root_mod_prime(c, p, k), k, p) == c
+        if (p - 1) % k == 0:
+            g = 2
+            while pow(g, (p - 1) // k, p) == 1:
+                g += 1
+            with pytest.raises(NonResidueError):
+                kth_root_mod_prime(c * g % p, p, k)
 
 
 class TestIsProbablePrime:

@@ -27,6 +27,10 @@ class TestInit:
         # phi(77) = 60 is not divisible by 9
         with pytest.raises(ValueError):
             prng_init(key77, 2)
+        # 9 | phi here, but all three unity roots come from one factor
+        probe = key_from_factors(KeyMode.CUBIC9_COMPOSITE, 1000081, 1000037)
+        with pytest.raises(ValueError, match="nine cube roots"):
+            prng_init(probe, 2)
 
     def test_seed_bounds(self, key91):
         with pytest.raises(ValueError):

@@ -2,7 +2,6 @@ import pytest
 
 from cubetag import (
     UnityRootSet,
-    alpha_ratio_form,
     cube_roots_of_unity_composite,
     cube_roots_of_unity_prime,
     square_roots_of_unity_composite,
@@ -49,27 +48,6 @@ class TestCubeRootsPrime:
     def test_sum_identity_fails_modulo_composites(self):
         # the same identity is NOT valid mod 77 even though 23 cubes to 1
         assert (1 + 23 + 23 * 23) % 77 != 0
-
-
-class TestAlphaRatioForm:
-    def test_known_values(self):
-        assert alpha_ratio_form(31) == 5
-        assert alpha_ratio_form(7) == 2
-
-    def test_result_is_nontrivial_cube_root(self):
-        for p in sieve(10_000):
-            if p % 3 == 1 and p % 4 == 3:
-                u = alpha_ratio_form(p)
-                assert u != 1
-                assert u in cube_roots_of_unity_prime(p).roots
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            alpha_ratio_form(11)  # 2 mod 3
-        with pytest.raises(ValueError):
-            alpha_ratio_form(13)  # 1 mod 4
-        with pytest.raises(ValueError):
-            alpha_ratio_form(15)  # not prime
 
 
 class TestCubeRootsComposite:
