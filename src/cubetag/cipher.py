@@ -21,7 +21,7 @@ from .errors import (
     PrivateKeyRequiredError,
     TagRangeError,
 )
-from .keys import KeyMaterial, KeyMode
+from .keys import KeyMaterial, KeyMode, _decimal_field, _file_lines
 from .modular import crt_combine, kth_root_mod_prime
 
 # Largest modulus companion_table will sweep; the table is exhaustive by design.
@@ -98,9 +98,12 @@ def kth_root(c: int, key: KeyMaterial) -> int:
 def decrypt_candidates(c: int, key: KeyMaterial) -> list[int]:
     """The full ascending preimage set of c: every x with x**k = c mod n.
 
-    Raises InvalidCiphertextError when the set degenerates (fewer distinct
-    elements than unity roots), which happens exactly when gcd(c, n) != 1.
+    Raises InvalidCiphertextError when c lies outside [1, n) or the set
+    degenerates (fewer distinct elements than unity roots), which happens
+    exactly when gcd(c, n) != 1.
     """
+    if not 1 <= c < key.n:
+        raise InvalidCiphertextError(f"ciphertext must be in [1, {key.n}), got {c}")
     candidates = _companions(kth_root(c, key), key)
     if len(set(candidates)) != len(key.roots):
         raise InvalidCiphertextError(
@@ -123,21 +126,12 @@ def serialize_ciphertext(ct: TaggedCiphertext) -> str:
 
 
 def parse_ciphertext(text: str, mode: KeyMode) -> TaggedCiphertext:
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = _file_lines(text)
     if len(lines) != 2:
         raise KeyFileError(f"ciphertext file must have 2 lines, got {len(lines)}")
-    values = []
-    for idx, name in enumerate(("c", "tag")):
-        prefix = name + "="
-        value = lines[idx][len(prefix):]
-        if not lines[idx].startswith(prefix) or not (value.isascii() and value.isdigit()):
-            raise KeyFileError(
-                f"expected {name}=<decimal>, got {lines[idx]!r}", line=idx + 1
-            )
-        values.append(int(value))
-    return TaggedCiphertext(c=values[0], tag=values[1], mode=mode)
+    return TaggedCiphertext(
+        c=_decimal_field(lines, 0, "c"), tag=_decimal_field(lines, 1, "tag"), mode=mode
+    )
 
 
 def companion_table(key: KeyMaterial, limit: int = _TABLE_LIMIT):

@@ -39,7 +39,7 @@ class InvalidMessageError(CubeTagError):
 
 
 class InvalidCiphertextError(CubeTagError):
-    """Ciphertext cannot be decrypted (degenerate candidate set)."""
+    """Ciphertext cannot be decrypted (outside [1, n) or a degenerate candidate set)."""
 
 
 class TagRangeError(InvalidCiphertextError):

@@ -1,11 +1,10 @@
-"""Key generation and the line-oriented key file format.
+"""Key generation and the line-oriented key and ciphertext file format.
 
-A key fixes the modulus and which transformation applies:
-
-* CUBIC3_PRIME      n = p prime, 3 | p-1 but 9 does not divide p-1, p = 3 mod 4
-* CUBIC3_COMPOSITE  n = p*q, phi(n) divisible by 3 but not 9
-* CUBIC9_COMPOSITE  n = p*q, phi(n) divisible by 9 (nine cube roots of 1)
-* SQUARE_COMPOSITE  n = p*q, squaring transformation with four unity roots
+A key is an exponent (3, or 2 for the squaring variant) and the factors of
+a prime or two-prime modulus; the roots of unity, and so the tag range,
+follow from the factors. Each KeyMode's row in ``_MODES`` holds what sets
+the modes apart: the exponent, the factor shapes key generation samples,
+the totient constraint, and the private key-file fields.
 
 Both communicating parties hold the factors; the private key file carries
 them, the ``.pub`` variant only the mode and modulus.
@@ -14,8 +13,12 @@ them, the ``.pub`` variant only the mode and modulus.
 from __future__ import annotations
 
 import enum
+import math
 import random
-from dataclasses import dataclass, field
+import re
+import reprlib
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from .errors import KeyFileError, KeyGenerationError, PrivateKeyRequiredError
 from .modular import is_probable_prime
@@ -28,6 +31,10 @@ from .roots import (
 
 _MAX_PRIME_TRIES_PER_BIT = 256
 
+# Canonical ASCII decimal: no sign, no leading zero, at most 4300 digits
+# (Python's default int/str conversion limit).
+_DECIMAL = re.compile(r"0|[1-9][0-9]{0,4299}")
+
 
 class KeyMode(enum.Enum):
     CUBIC3_PRIME = "CUBIC3_PRIME"
@@ -38,24 +45,64 @@ class KeyMode(enum.Enum):
     @property
     def exponent(self) -> int:
         """Public transformation exponent: cube or square."""
-        return 2 if self is KeyMode.SQUARE_COMPOSITE else 3
+        return _MODES[self].exponent
+
+
+@dataclass(frozen=True)
+class _Mode:
+    exponent: int
+    shapes: tuple[Callable[[int], bool], ...]  # one per factor keygen samples
+    constraint: Callable[[int, int], bool]  # (p, phi) -> acceptable
+    requirement: str
+    private_fields: tuple[str, ...]  # key-file lines after mode and n
+
+
+# c % 9 in (4, 7) is 3 || c-1: 3 divides c-1 but 9 does not. Exactly one
+# factor of a CUBIC3 key contributes the 3 (q-1 avoids it); CUBIC9 keygen
+# keeps both factors at 3 || p-1, the shape keys have always had, though
+# factors with 9 | p-1 are accepted. A prime-mode file implies p = n and so
+# carries no factor lines.
+_MODES = {
+    KeyMode.CUBIC3_PRIME: _Mode(
+        3, (lambda c: c % 9 in (4, 7) and c % 4 == 3,),
+        lambda p, phi: phi % 9 in (3, 6) and p % 4 == 3,
+        "3 | p-1, 9 not dividing p-1 and p = 3 mod 4", ("phi", "alpha")),
+    KeyMode.CUBIC3_COMPOSITE: _Mode(
+        3, (lambda c: c % 9 in (4, 7), lambda c: c % 3 == 2),
+        lambda p, phi: phi % 9 in (3, 6),
+        "phi divisible by 3 but not 9", ("p", "q", "phi", "alpha")),
+    KeyMode.CUBIC9_COMPOSITE: _Mode(
+        3, (lambda c: c % 9 in (4, 7), lambda c: c % 9 in (4, 7)),
+        lambda p, phi: phi % 9 == 0,
+        "phi divisible by 9", ("p", "q", "phi", "alpha")),
+    KeyMode.SQUARE_COMPOSITE: _Mode(
+        2, (lambda c: True, lambda c: True),
+        lambda p, phi: True,
+        "distinct odd primes", ("p", "q", "phi")),
+}
 
 
 @dataclass(frozen=True)
 class KeyMaterial:
-    """A key, possibly public-only (factors, totient, and roots absent)."""
+    """A key, possibly public-only (factors, alpha and roots absent)."""
 
     mode: KeyMode
     n: int
     p: int | None = None
     q: int | None = None
-    phi: int | None = None
     alpha: int | None = None
     unity_roots: UnityRootSet | None = field(default=None, repr=False)
 
     @property
     def has_private(self) -> bool:
-        return self.phi is not None
+        return self.p is not None
+
+    @property
+    def phi(self) -> int | None:
+        """Euler's totient of n, from the factors; None for a public key."""
+        if self.p is None:
+            return None
+        return (self.p - 1) * (1 if self.q is None else self.q - 1)
 
     @property
     def roots(self) -> UnityRootSet:
@@ -65,70 +112,34 @@ class KeyMaterial:
             )
         return self.unity_roots
 
-    @property
-    def root_count(self) -> int:
-        return len(self.roots)
-
     def public(self) -> "KeyMaterial":
         """Strip everything but the mode and modulus."""
         return KeyMaterial(mode=self.mode, n=self.n)
 
 
-def _require_prime(value: int) -> None:
-    if value < 2 or not is_probable_prime(value):
-        raise ValueError(f"{value} is not prime")
-
-
-def _require_odd_distinct(p: int, q: int) -> None:
-    _require_prime(p)
-    _require_prime(q)
-    if p == 2 or q == 2:
-        raise ValueError("factors must be odd primes")
-    if p == q:
-        raise ValueError("factors must be distinct")
-
-
 def key_from_factors(mode: KeyMode, p: int, q: int | None = None) -> KeyMaterial:
     """Assemble full key material from explicit factors, checking the mode's
     divisibility constraints."""
-    if mode is KeyMode.CUBIC3_PRIME:
-        if q is not None:
-            raise ValueError("prime mode takes a single factor")
-        _require_prime(p)
-        phi = p - 1
-        if p % 3 != 1 or phi % 9 == 0:
-            raise KeyGenerationError(
-                f"prime mode needs 3 | p-1 and 9 does not divide p-1; p={p} fails"
-            )
-        if p % 4 != 3:
-            raise KeyGenerationError(f"prime mode needs p = 3 mod 4; p={p} fails")
-        root_set = cube_roots_of_unity_prime(p)
-        return KeyMaterial(
-            mode=mode, n=p, p=p, q=None, phi=phi,
-            alpha=root_set.smallest_nontrivial, unity_roots=root_set,
-        )
-    if q is None:
-        raise ValueError(f"{mode.value} needs two factors")
-    _require_odd_distinct(p, q)
-    phi = (p - 1) * (q - 1)
-    if mode is KeyMode.CUBIC3_COMPOSITE:
-        if phi % 9 not in (3, 6):
-            raise KeyGenerationError(
-                f"phi={phi} must be divisible by 3 but not 9 for {mode.value}"
-            )
-        root_set = cube_roots_of_unity_composite(p, q)
-    elif mode is KeyMode.CUBIC9_COMPOSITE:
-        if phi % 9 != 0:
-            raise KeyGenerationError(f"phi={phi} must be divisible by 9 for {mode.value}")
-        root_set = cube_roots_of_unity_composite(p, q)
-    elif mode is KeyMode.SQUARE_COMPOSITE:
+    spec = _MODES[mode]
+    factors = (p,) if q is None else (p, q)
+    if len(factors) != len(spec.shapes):
+        raise ValueError(f"{mode.value} takes {len(spec.shapes)} factor(s), got {len(factors)}")
+    for factor in factors:
+        if factor < 3 or factor % 2 == 0 or not is_probable_prime(factor):
+            raise ValueError(f"factors must be odd primes; {factor} is not")
+    if p == q:
+        raise ValueError("factors must be distinct")
+    phi = math.prod(f - 1 for f in factors)
+    if not spec.constraint(p, phi):
+        raise KeyGenerationError(f"{mode.value} needs {spec.requirement}; p={p}, phi={phi} fails")
+    if spec.exponent == 2:
         root_set = square_roots_of_unity_composite(p, q)
+    elif q is None:
+        root_set = cube_roots_of_unity_prime(p)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
-    alpha = None if mode is KeyMode.SQUARE_COMPOSITE else root_set.smallest_nontrivial
-    return KeyMaterial(
-        mode=mode, n=p * q, p=p, q=q, phi=phi, alpha=alpha, unity_roots=root_set,
-    )
+        root_set = cube_roots_of_unity_composite(p, q)
+    alpha = root_set.smallest_nontrivial if "alpha" in spec.private_fields else None
+    return KeyMaterial(mode=mode, n=math.prod(factors), p=p, q=q, alpha=alpha, unity_roots=root_set)
 
 
 def _random_prime(rng: random.Random, bits: int, accept) -> int:
@@ -164,52 +175,40 @@ def generate_key(
     if bits < 8:
         raise ValueError(f"bits must be >= 8, got {bits}")
     rng = random.Random(seed)
+    shapes = _MODES[mode].shapes
+    factors: list[int] = []
+    for i, shape in enumerate(shapes):
+        size = bits * (i + 1) // len(shapes) - bits * i // len(shapes)
+        factors.append(_random_prime(rng, size, lambda c: shape(c) and c not in factors))
+    return key_from_factors(mode, *factors)
 
-    if mode is KeyMode.CUBIC3_PRIME:
-        prime = _random_prime(
-            rng, bits,
-            lambda c: c % 3 == 1 and c % 4 == 3 and (c - 1) % 9 != 0,
+
+def _file_lines(text: str) -> list[str]:
+    """The lines of a key or ciphertext file, whose last line must end in LF."""
+    if not text:
+        raise KeyFileError("empty file")
+    if not text.endswith("\n"):
+        raise KeyFileError("missing final line feed", line=text.count("\n") + 1)
+    return text[:-1].split("\n")
+
+
+def _decimal_field(lines: list[str], index: int, name: str) -> int:
+    """The value of line `index`, which must read `name=<canonical decimal>`."""
+    if index >= len(lines):
+        raise KeyFileError(f"missing {name}= line", line=index + 1)
+    line = lines[index]
+    if not (line.startswith(name + "=") and _DECIMAL.fullmatch(line, len(name) + 1)):
+        raise KeyFileError(
+            f"expected {name}=<canonical decimal>, got {reprlib.repr(line)}", line=index + 1
         )
-        return key_from_factors(mode, prime)
-
-    p_bits = bits // 2
-    q_bits = bits - p_bits
-    if mode is KeyMode.CUBIC3_COMPOSITE:
-        # Exactly one factor contributes the 3: 3 || p-1, and q-1 avoids 3.
-        fp = _random_prime(rng, p_bits, lambda c: c % 9 in (4, 7))
-        fq = _random_prime(rng, q_bits, lambda c: c % 3 == 2 and c != fp)
-    elif mode is KeyMode.CUBIC9_COMPOSITE:
-        # 3 | p-1 for both factors gives nine unity roots; the search keeps
-        # to 3 || p-1 (9 never divides p-1), the shape keys have always had.
-        fp = _random_prime(rng, p_bits, lambda c: c % 9 in (4, 7))
-        fq = _random_prime(rng, q_bits, lambda c: c % 9 in (4, 7) and c != fp)
-    elif mode is KeyMode.SQUARE_COMPOSITE:
-        fp = _random_prime(rng, p_bits, lambda c: True)
-        fq = _random_prime(rng, q_bits, lambda c: c != fp)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return key_from_factors(mode, fp, fq)
-
-
-# Key file format: LF-terminated "field=decimal" lines in fixed order.
-# Public section: mode, n. Private section by mode:
-#   CUBIC3_PRIME      phi, alpha      (p is implied: n itself)
-#   CUBIC3/9_COMPOSITE  p, q, phi, alpha
-#   SQUARE_COMPOSITE  p, q, phi
-def _private_fields(mode: KeyMode) -> tuple[str, ...]:
-    if mode is KeyMode.CUBIC3_PRIME:
-        return ("phi", "alpha")
-    if mode is KeyMode.SQUARE_COMPOSITE:
-        return ("p", "q", "phi")
-    return ("p", "q", "phi", "alpha")
+    return int(line[len(name) + 1:])
 
 
 def serialize_key(key: KeyMaterial, include_private: bool = True) -> str:
     """Render a key file; with include_private=False only mode and n."""
     lines = [f"mode={key.mode.value}", f"n={key.n}"]
     if include_private and key.has_private:
-        for name in _private_fields(key.mode):
-            lines.append(f"{name}={getattr(key, name)}")
+        lines += [f"{name}={getattr(key, name)}" for name in _MODES[key.mode].private_fields]
     return "".join(line + "\n" for line in lines)
 
 
@@ -218,53 +217,28 @@ def parse_key(text: str) -> KeyMaterial:
 
     Raises KeyFileError (with the line number) on any malformation.
     """
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines == [""]:
-        raise KeyFileError("empty key file")
-
-    def take(idx: int, name: str) -> int:
-        if idx >= len(lines):
-            raise KeyFileError(f"missing {name}= line", line=idx + 1)
-        prefix = name + "="
-        if not lines[idx].startswith(prefix):
-            raise KeyFileError(f"expected {name}=<decimal>, got {lines[idx]!r}", line=idx + 1)
-        value = lines[idx][len(prefix):]
-        if not (value.isascii() and value.isdigit()):
-            raise KeyFileError(f"{name} is not a decimal integer: {value!r}", line=idx + 1)
-        return int(value)
-
-    if not lines[0].startswith("mode="):
-        raise KeyFileError(f"expected mode=<...>, got {lines[0]!r}", line=1)
-    mode_string = lines[0][len("mode="):]
-    try:
-        mode = KeyMode(mode_string)
-    except ValueError:
-        raise KeyFileError(f"unknown mode {mode_string!r}", line=1) from None
-    n = take(1, "n")
+    lines = _file_lines(text)
+    mode = next((m for m in KeyMode if lines[0] == f"mode={m.value}"), None)
+    if mode is None:
+        raise KeyFileError(f"expected mode=<key mode>, got {reprlib.repr(lines[0])}", line=1)
+    n = _decimal_field(lines, 1, "n")
     if n < 2:
         raise KeyFileError(f"modulus {n} out of range", line=2)
-
     if len(lines) == 2:
         return KeyMaterial(mode=mode, n=n)
 
-    fields = _private_fields(mode)
+    fields = _MODES[mode].private_fields
     if len(lines) != 2 + len(fields):
         raise KeyFileError(
             f"expected {2 + len(fields)} lines for a private {mode.value} key, got {len(lines)}",
             line=len(lines),
         )
-    values = {name: take(2 + i, name) for i, name in enumerate(fields)}
-
-    if mode is KeyMode.CUBIC3_PRIME:
-        fp, fq = n, None
-    else:
-        fp, fq = values["p"], values["q"]
-        if fp * fq != n:
-            raise KeyFileError(f"p*q = {fp * fq} does not match n = {n}", line=3)
+    values = {name: _decimal_field(lines, 2 + i, name) for i, name in enumerate(fields)}
+    factors = [values[name] for name in ("p", "q") if name in values] or [n]
+    if math.prod(factors) != n:
+        raise KeyFileError(f"p*q = {math.prod(factors)} does not match n = {n}", line=3)
     try:
-        key = key_from_factors(mode, fp, fq)
+        key = key_from_factors(mode, *factors)
     except (ValueError, KeyGenerationError) as exc:
         raise KeyFileError(f"invalid key material: {exc}") from exc
     if values["phi"] != key.phi:
@@ -272,17 +246,12 @@ def parse_key(text: str) -> KeyMaterial:
             f"phi = {values['phi']} does not match the factors",
             line=3 + fields.index("phi"),
         )
-    if "alpha" in values:
-        alpha = values["alpha"]
-        if alpha <= 1 or alpha >= n or pow(alpha, 3, n) != 1:
+    if "alpha" in values and values["alpha"] != key.alpha:
+        # The agreed root need not be the smallest; keep the file's choice.
+        if values["alpha"] not in key.roots.nontrivial():
             raise KeyFileError(
-                f"alpha = {alpha} is not a nontrivial cube root of 1 mod n",
+                f"alpha = {values['alpha']} is not a nontrivial cube root of 1 mod n",
                 line=3 + fields.index("alpha"),
             )
-        if alpha != key.alpha:
-            # The agreed root neednot be the smallest; keep the file's choice.
-            key = KeyMaterial(
-                mode=key.mode, n=key.n, p=key.p, q=key.q, phi=key.phi,
-                alpha=alpha, unity_roots=key.unity_roots,
-            )
+        key = replace(key, alpha=values["alpha"])
     return key

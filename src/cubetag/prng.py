@@ -22,7 +22,6 @@ from .keys import KeyMaterial
 class PrngState:
     n: int
     s: int
-    index: int = 0
 
 
 def prng_init(key: KeyMaterial, seed: int) -> PrngState:
@@ -35,13 +34,13 @@ def prng_init(key: KeyMaterial, seed: int) -> PrngState:
         raise ValueError(f"seed must be in (1, {n}), got {seed}")
     if math.gcd(seed, n) != 1:
         raise ValueError(f"seed {seed} shares a factor with the modulus")
-    return PrngState(n=n, s=seed, index=0)
+    return PrngState(n=n, s=seed)
 
 
 def prng_next(state: PrngState) -> tuple[PrngState, int]:
     """Advance one step; returns the new state and its value s' = s**3 mod n."""
     s = pow(state.s, 3, state.n)
-    return PrngState(n=state.n, s=s, index=state.index + 1), s
+    return PrngState(n=state.n, s=s), s
 
 
 def prng_emit(state: PrngState, radix: int) -> tuple[PrngState, int]:

@@ -154,6 +154,14 @@ class TestDecrypt:
         with pytest.raises(InvalidCiphertextError):
             decrypt_candidates(pow(7, 3, 77), key77)
 
+    def test_ciphertext_outside_modulus_rejected(self, key77):
+        # c = 111 would otherwise reduce to 34 and decrypt to 12
+        for c in (0, 77, 77 + 34):
+            with pytest.raises(InvalidCiphertextError):
+                decrypt_candidates(c, key77)
+            with pytest.raises(InvalidCiphertextError):
+                decrypt(TaggedCiphertext(c, 1, key77.mode), key77)
+
     def test_candidates_match_brute_force(self, key31, key77, key91):
         for key in (key31, key77, key91):
             preimages = kth_root_preimages(key.n, 3)
@@ -249,3 +257,8 @@ class TestCiphertextFiles:
                     "c=\u0661\ntag=1\n", "c=83\ntag=\u00b2\n"):
             with pytest.raises(KeyFileError):
                 parse_ciphertext(bad, key91.mode)
+        for bad, line in (("c=083\ntag=2\n", 1), ("c=83\ntag=02\n", 2), ("c=83\ntag=2", 2),
+                          (f"c={'7' * 5000}\ntag=2\n", 1)):
+            with pytest.raises(KeyFileError) as info:
+                parse_ciphertext(bad, key91.mode)
+            assert info.value.line == line

@@ -146,6 +146,12 @@ class TestEncryptDecrypt:
         code, _, err = run(capsys, "decrypt", "--key", keyfile77, "--in", str(ct))
         assert code == 1 and err
 
+    def test_ciphertext_outside_modulus_fails(self, keyfile77, tmp_path, capsys):
+        ct = tmp_path / "wide.ct"
+        ct.write_text("c=111\ntag=1\n")
+        code, out, err = run(capsys, "decrypt", "--key", keyfile77, "--in", str(ct))
+        assert code == 1 and out == "" and "[1, 77)" in err
+
     def test_public_key_cannot_decrypt(self, keyfile77, tmp_path, capsys):
         ct = tmp_path / "m.ct"
         run(capsys, "encrypt", "--key", keyfile77, "--message", "12", "--out", str(ct))

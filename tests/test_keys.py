@@ -154,6 +154,33 @@ class TestGenerateKey:
         assert p % 3 == 1 and p % 4 == 3 and (p - 1) % 9 != 0
         assert key.alpha == key.unity_roots.roots[1]
 
+    def test_key_files_frozen(self):
+        # Reproducible across versions: changing these breaks every stored seed.
+        expected = {
+            KeyMode.CUBIC3_PRIME: (
+                "mode=CUBIC3_PRIME\nn=10159659862873454491\nphi=10159659862873454490\n"
+                "alpha=4888595848876250274\n"
+            ),
+            KeyMode.CUBIC3_COMPOSITE: (
+                "mode=CUBIC3_COMPOSITE\nn=8998915973865716207\np=2272212871\nq=3960419417\n"
+                "phi=8998915967633083920\nalpha=1809813546257104992\n"
+            ),
+            KeyMode.CUBIC9_COMPOSITE: (
+                "mode=CUBIC9_COMPOSITE\nn=7062050938685339899\np=2272212871\nq=3108005869\n"
+                "phi=7062050933305121160\nalpha=2957701677324991381\n"
+            ),
+            KeyMode.SQUARE_COMPOSITE: (
+                "mode=SQUARE_COMPOSITE\nn=6699450872443654991\np=2948425721\nq=2272212871\n"
+                "phi=6699450867223016400\n"
+            ),
+        }
+        for mode, text in expected.items():
+            assert serialize_key(generate_key(mode, bits=64, seed=1)) == text
+        # the modulus README's `keygen --mode cubic9 --bits 256 --seed 42` prints
+        assert generate_key(KeyMode.CUBIC9_COMPOSITE, bits=256, seed=42).n == int(
+            "36703152446882432410605368686976888659897578541367855530573680524776577506609"
+        )
+
     def test_bits_floor(self):
         with pytest.raises(ValueError):
             generate_key(KeyMode.CUBIC3_COMPOSITE, bits=7, seed=0)
@@ -199,10 +226,22 @@ class TestKeyFiles:
 
     def test_bad_decimal_rejected(self):
         # superscript two and Arabic-Indic seven pass str.isdigit but are not ASCII
-        for value in ("sixtyfive", "\u00b2", "7\u0667", "+77", " 77", ""):
+        # leading zeros and more digits than int() converts are not canonical
+        for value in ("sixtyfive", "\u00b2", "7\u0667", "+77", " 77", "",
+                      "077", "00", "77 ", "7" * 4301, "7" * 5000):
             with pytest.raises(KeyFileError) as info:
                 parse_key(f"mode=CUBIC3_COMPOSITE\nn={value}\n")
             assert info.value.line == 2
+        with pytest.raises(KeyFileError) as info:
+            parse_key("mode=CUBIC3_COMPOSITE\nn=077\np=07\nq=11\nphi=060\nalpha=023\n")
+        assert info.value.line == 2
+        assert parse_key(f"mode=CUBIC3_COMPOSITE\nn={'7' * 4300}\n").n == int("7" * 4300)
+
+    def test_missing_final_line_feed_rejected(self, key77):
+        for text in (serialize_key(key77)[:-1], "mode=CUBIC9_COMPOSITE\nn=91"):
+            with pytest.raises(KeyFileError) as info:
+                parse_key(text)
+            assert info.value.line == text.count("\n") + 1
 
     def test_misordered_fields_rejected(self, key77):
         text = serialize_key(key77).replace("p=7\nq=11", "q=11\np=7")

@@ -17,7 +17,7 @@ from oracles import kth_root_preimages
 class TestInit:
     def test_valid_state(self, key91):
         state = prng_init(key91, 2)
-        assert (state.n, state.s, state.index) == (91, 2, 0)
+        assert (state.n, state.s) == (91, 2)
 
     def test_shared_factor_rejected(self, key91):
         with pytest.raises(ValueError):
@@ -53,7 +53,6 @@ class TestAdvance:
             state, value = prng_next(state)
             values.append(value)
         assert values == [8, 57, 8, 57]
-        assert state.index == 4
 
     def test_emit_reduces_to_radix(self, key91):
         state = prng_init(key91, 2)
