@@ -58,7 +58,6 @@ from .prng import (
     PrngState,
     digit_stream,
     pack_bits_hex,
-    prng_emit,
     prng_init,
     prng_next,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "parse_key",
     "partition_nine_roots",
     "play_round",
-    "prng_emit",
     "prng_init",
     "prng_next",
     "serialize_ciphertext",

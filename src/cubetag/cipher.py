@@ -40,6 +40,13 @@ def _companions(value: int, key: KeyMaterial) -> list[int]:
     return sorted(value * u % n for u in key.roots)
 
 
+def _require_ciphertext(c: int, key: KeyMaterial) -> None:
+    """A ciphertext has a unique tagged preimage only in [1, n) and coprime to n."""
+    n = key.n
+    if not 1 <= c < n or math.gcd(c, n) != 1:
+        raise InvalidCiphertextError(f"ciphertext must be in [1, {n}) and coprime to n, got {c}")
+
+
 def encrypt(m: int, key: KeyMaterial) -> TaggedCiphertext:
     """Encrypt m as (m**k mod n, rank of m among its companions).
 
@@ -67,15 +74,14 @@ def cube_root_by_exponent(c: int, key: KeyMaterial) -> int:
     3^-1 mod phi/3, i.e. (phi+3)/9 for phi = 6 mod 9 and (2*phi+3)/9 for
     phi = 3 mod 9. Decryption does not use it (see kth_root).
     """
-    if key.mode not in (KeyMode.CUBIC3_PRIME, KeyMode.CUBIC3_COMPOSITE):
-        raise ValueError(
-            f"exponent inversion is impossible in {key.mode.value} (9 divides phi)"
-        )
+    _require_ciphertext(c, key)
     phi, n = key.phi, key.n
     if phi is None:
         raise PrivateKeyRequiredError("private key required to invert")
+    if key.mode.exponent != 3 or phi % 9 not in (3, 6):
+        raise ValueError(f"exponent inversion needs cubing with 3 || phi, got phi = {phi}")
     root = pow(c, pow(3, -1, phi // 3), n)
-    if pow(root, 3, n) != c % n:
+    if pow(root, 3, n) != c:
         raise NonResidueError(f"{c} is not a cubic residue mod {n}")
     return root
 
@@ -84,8 +90,10 @@ def kth_root(c: int, key: KeyMaterial) -> int:
     """One k-th root of c mod n (k the key's exponent): a root modulo each
     prime factor, recombined by CRT. A prime modulus is the one-factor case.
 
-    Raises NonResidueError when c has no k-th root.
+    Raises InvalidCiphertextError unless 1 <= c < n and gcd(c, n) = 1, and
+    NonResidueError when c has no k-th root.
     """
+    _require_ciphertext(c, key)
     if key.p is None:
         raise PrivateKeyRequiredError("private factors required to take roots")
     k = key.mode.exponent
@@ -98,18 +106,9 @@ def kth_root(c: int, key: KeyMaterial) -> int:
 def decrypt_candidates(c: int, key: KeyMaterial) -> list[int]:
     """The full ascending preimage set of c: every x with x**k = c mod n.
 
-    Raises InvalidCiphertextError when c lies outside [1, n) or the set
-    degenerates (fewer distinct elements than unity roots), which happens
-    exactly when gcd(c, n) != 1.
+    c must lie in [1, n) and be coprime to n (InvalidCiphertextError).
     """
-    if not 1 <= c < key.n:
-        raise InvalidCiphertextError(f"ciphertext must be in [1, {key.n}), got {c}")
-    candidates = _companions(kth_root(c, key), key)
-    if len(set(candidates)) != len(key.roots):
-        raise InvalidCiphertextError(
-            f"degenerate candidate set for c = {c} (not coprime to the modulus)"
-        )
-    return candidates
+    return _companions(kth_root(c, key), key)
 
 
 def decrypt(ct: TaggedCiphertext, key: KeyMaterial) -> int:
@@ -134,15 +133,15 @@ def parse_ciphertext(text: str, mode: KeyMode) -> TaggedCiphertext:
     )
 
 
-def companion_table(key: KeyMaterial, limit: int = _TABLE_LIMIT):
+def companion_table(key: KeyMaterial):
     """Yield (companions, c) rows covering every message coprime to n,
     ordered by each companion set's smallest member.
 
-    Refuses moduli above `limit`; the sweep is exhaustive by design.
+    Refuses moduli above _TABLE_LIMIT; the sweep is exhaustive by design.
     """
     n = key.n
-    if n > limit:
-        raise ValueError(f"modulus {n} too large for an exhaustive table (limit {limit})")
+    if n > _TABLE_LIMIT:
+        raise ValueError(f"modulus {n} too large for an exhaustive table (limit {_TABLE_LIMIT})")
     k = key.mode.exponent
     seen = bytearray(n)
     for m in range(1, n):

@@ -46,7 +46,7 @@ def _cmd_keygen(args: argparse.Namespace) -> int:
     mode = _MODE_NAMES[args.mode]
     key = generate_key(mode, bits=args.bits, seed=args.seed, p=args.p, q=args.q)
     _write_text(args.out, serialize_key(key))
-    _write_text(args.out + ".pub", serialize_key(key, include_private=False))
+    _write_text(args.out + ".pub", serialize_key(key.public()))
     print(key.n)
     return 0
 

@@ -39,7 +39,7 @@ class InvalidMessageError(CubeTagError):
 
 
 class InvalidCiphertextError(CubeTagError):
-    """Ciphertext cannot be decrypted (outside [1, n) or a degenerate candidate set)."""
+    """Ciphertext cannot be decrypted: outside [1, n) or not coprime to n."""
 
 
 class TagRangeError(InvalidCiphertextError):

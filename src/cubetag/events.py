@@ -10,11 +10,9 @@ event.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .cipher import kth_root
-from .errors import InvalidMessageError
+from .cipher import decrypt_candidates, encrypt
 from .keys import KeyMaterial
 from .roots import UnityRootSet
 
@@ -34,7 +32,7 @@ class RootGrouping:
 def partition_nine_roots(roots: UnityRootSet) -> RootGrouping:
     """Pair each non-1 root with its square, giving four {1, x, x**2} triples."""
     if len(roots) != 9:
-        raise ValueError(f"expected 9 roots, got {len(roots)}")
+        raise ValueError(f"expected nine cube roots of 1, got {len(roots)}")
     n = roots.modulus
     groups = []
     remaining = set(roots.nontrivial())
@@ -89,27 +87,19 @@ def play_round(
     """Run one round: Alice encrypts and tags with her triple, Bob decodes
     with his; success iff the triple choices match (probability 1/4 under
     uniform independent choices)."""
-    if key.unity_roots is None or len(key.unity_roots) != 9:
-        raise ValueError("the game needs a private key with nine cube roots of 1")
-    grouping = partition_nine_roots(key.roots)
     if not (1 <= alice_choice <= 4 and 1 <= bob_choice <= 4):
         raise ValueError("group choices must be in [1, 4]")
+    grouping = partition_nine_roots(key.roots)
+    c = encrypt(m, key).c
     n = key.n
-    if not 1 <= m < n or math.gcd(m, n) != 1:
-        raise InvalidMessageError(f"message must be in [1, {n}) and coprime to the modulus")
-
-    # Sender side: all nine cube roots of c are m's multiples by the roots
-    # of unity; locate m's coset under her triple and its rank inside.
-    nine = sorted(m * u % n for u in key.roots)
+    # Every cube root of c is m times a root of unity, so both sides split
+    # the same nine values: the sender finds m's coset and rank under her
+    # triple, the receiver reads that slot off his split.
+    nine = decrypt_candidates(c, key)
     alice_cosets = _cosets(nine, grouping.groups[alice_choice - 1], n)
     coset_index = next(i for i, cs in enumerate(alice_cosets) if m in cs) + 1
     tag = alice_cosets[coset_index - 1].index(m) + 1
-    c = pow(m, 3, n)
-
-    # Receiver side, self-contained: rebuild the nine roots from c alone.
-    root = kth_root(c, key)
-    bob_nine = sorted(root * u % n for u in key.roots)
-    bob_cosets = _cosets(bob_nine, grouping.groups[bob_choice - 1], n)
+    bob_cosets = _cosets(nine, grouping.groups[bob_choice - 1], n)
     recovered = bob_cosets[coset_index - 1][tag - 1]
 
     return GameRound(

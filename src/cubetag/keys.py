@@ -204,10 +204,10 @@ def _decimal_field(lines: list[str], index: int, name: str) -> int:
     return int(line[len(name) + 1:])
 
 
-def serialize_key(key: KeyMaterial, include_private: bool = True) -> str:
-    """Render a key file; with include_private=False only mode and n."""
+def serialize_key(key: KeyMaterial) -> str:
+    """Render a key file; a public key (``key.public()``) gives only mode and n."""
     lines = [f"mode={key.mode.value}", f"n={key.n}"]
-    if include_private and key.has_private:
+    if key.has_private:
         lines += [f"{name}={getattr(key, name)}" for name in _MODES[key.mode].private_fields]
     return "".join(line + "\n" for line in lines)
 
@@ -240,7 +240,8 @@ def parse_key(text: str) -> KeyMaterial:
     try:
         key = key_from_factors(mode, *factors)
     except (ValueError, KeyGenerationError) as exc:
-        raise KeyFileError(f"invalid key material: {exc}") from exc
+        # name the p= line, or n= in prime mode where n is the factor
+        raise KeyFileError(f"invalid key material: {exc}", line=3 if "p" in values else 2) from exc
     if values["phi"] != key.phi:
         raise KeyFileError(
             f"phi = {values['phi']} does not match the factors",

@@ -16,6 +16,8 @@ from .errors import NonResidueError, NotInvertibleError
 # for every n below this bound (Sorenson & Webster).
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Random witnesses above that bound: a false-positive rate below 4**-40.
+_MR_ROUNDS = 40
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -103,12 +105,12 @@ def kth_root_mod_prime(c: int, p: int, k: int) -> int:
     return x
 
 
-def is_probable_prime(n: int, rounds: int = 40, rng: random.Random | None = None) -> bool:
+def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
     """Miller-Rabin primality test with small-prime trial division first.
 
     Deterministic (fixed witness set) for n below ~3.3e24; above that bound
-    ``rounds`` random witnesses are drawn from ``rng`` (a fresh system RNG by
-    default), giving a false-positive rate below 4**-rounds.
+    _MR_ROUNDS random witnesses are drawn from ``rng`` (a fresh system RNG by
+    default).
     """
     if n < 2:
         return False
@@ -125,11 +127,9 @@ def is_probable_prime(n: int, rounds: int = 40, rng: random.Random | None = None
     if n < _MR_DETERMINISTIC_BOUND:
         witnesses = _MR_DETERMINISTIC_BASES
     else:
-        if rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {rounds}")
         if rng is None:
             rng = random.Random()
-        witnesses = tuple(rng.randrange(2, n - 1) for _ in range(rounds))
+        witnesses = tuple(rng.randrange(2, n - 1) for _ in range(_MR_ROUNDS))
     for a in witnesses:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:

@@ -43,24 +43,18 @@ def prng_next(state: PrngState) -> tuple[PrngState, int]:
     return PrngState(n=state.n, s=s), s
 
 
-def prng_emit(state: PrngState, radix: int) -> tuple[PrngState, int]:
-    """Advance one step and emit the new state reduced mod radix."""
-    if not 2 <= radix < state.n:
-        raise ValueError(f"radix must be in [2, {state.n}), got {radix}")
-    state, value = prng_next(state)
-    return state, value % radix
-
-
 def digit_stream(key: KeyMaterial, seed: int, radix: int, count: int) -> list[int]:
     """First `count` output digits for (key, seed, radix); the seed itself is
     never emitted."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     state = prng_init(key, seed)
+    if not 2 <= radix < state.n:
+        raise ValueError(f"radix must be in [2, {state.n}), got {radix}")
     digits = []
     for _ in range(count):
-        state, digit = prng_emit(state, radix)
-        digits.append(digit)
+        state, value = prng_next(state)
+        digits.append(value % radix)
     return digits
 
 

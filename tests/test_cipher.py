@@ -150,9 +150,13 @@ class TestDecrypt:
             decrypt(TaggedCiphertext(34, 0, key77.mode), key77)
 
     def test_non_coprime_ciphertext_rejected(self, key77):
-        # 7**3 mod 77 = 35 shares the factor 7; candidate set degenerates
-        with pytest.raises(InvalidCiphertextError):
-            decrypt_candidates(pow(7, 3, 77), key77)
+        # 7**3 mod 77 = 35 shares the factor 7; 22 and 55 share a factor
+        # too, although their root sets ([11, 22, 44] for 22) look complete
+        for c in (pow(7, 3, 77), 22, 55):
+            with pytest.raises(InvalidCiphertextError):
+                decrypt_candidates(c, key77)
+            with pytest.raises(InvalidCiphertextError):
+                decrypt(TaggedCiphertext(c, 1, key77.mode), key77)
 
     def test_ciphertext_outside_modulus_rejected(self, key77):
         # c = 111 would otherwise reduce to 34 and decrypt to 12
@@ -161,6 +165,10 @@ class TestDecrypt:
                 decrypt_candidates(c, key77)
             with pytest.raises(InvalidCiphertextError):
                 decrypt(TaggedCiphertext(c, 1, key77.mode), key77)
+            with pytest.raises(InvalidCiphertextError):
+                kth_root(c, key77)
+            with pytest.raises(InvalidCiphertextError):
+                cube_root_by_exponent(c, key77)
 
     def test_candidates_match_brute_force(self, key31, key77, key91):
         for key in (key31, key77, key91):

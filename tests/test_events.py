@@ -6,6 +6,7 @@ import pytest
 from cubetag import (
     InvalidMessageError,
     KeyMode,
+    PrivateKeyRequiredError,
     key_from_factors,
     partition_nine_roots,
     play_round,
@@ -106,6 +107,10 @@ class TestPlayRound:
         probe = key_from_factors(KeyMode.CUBIC9_COMPOSITE, 1000081, 1000037)
         with pytest.raises(ValueError, match="nine cube roots"):
             play_round(probe, 12, 1, 1)
+
+    def test_public_key_rejected(self, key91):
+        with pytest.raises(PrivateKeyRequiredError):
+            play_round(key91.public(), 24, 1, 1)
 
     def test_non_coprime_message_rejected(self, key91):
         with pytest.raises(InvalidMessageError):

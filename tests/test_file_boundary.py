@@ -23,8 +23,7 @@ _KEYS = [
     generate_key(KeyMode.CUBIC9_COMPOSITE, p=7, q=13),
     generate_key(KeyMode.SQUARE_COMPOSITE, p=7, q=11),
 ]
-_KEY_FILES = [serialize_key(key, include_private=private)
-              for key in _KEYS for private in (True, False)]
+_KEY_FILES = [serialize_key(k) for key in _KEYS for k in (key, key.public())]
 _CIPHERTEXT_FILE = "c=83\ntag=2\n"
 
 # digits, separators and look-alikes: the superscript two and Arabic-Indic

@@ -205,7 +205,7 @@ class TestKeyFiles:
         assert serialize_key(parse_key(serialize_key(key))) == serialize_key(key)
 
     def test_public_only_round_trip(self, key91):
-        text = serialize_key(key91, include_private=False)
+        text = serialize_key(key91.public())
         assert text == "mode=CUBIC9_COMPOSITE\nn=91\n"
         parsed = parse_key(text)
         assert parsed == key91.public()
@@ -256,6 +256,16 @@ class TestKeyFiles:
     def test_wrong_product_rejected(self, key77):
         with pytest.raises(KeyFileError):
             parse_key(serialize_key(key77).replace("n=77", "n=78"))
+        # the product matches but the factors do not make a key of the mode:
+        # the p= line is named, or n= where n is the prime
+        for text, line in (
+            (serialize_key(key77).replace("CUBIC3", "CUBIC9"), 3),
+            (serialize_key(key77).replace("p=7\nq=11", "p=1\nq=77"), 3),
+            ("mode=CUBIC3_PRIME\nn=77\nphi=60\nalpha=23\n", 2),
+        ):
+            with pytest.raises(KeyFileError) as info:
+                parse_key(text)
+            assert info.value.line == line
 
     def test_tampered_alpha_rejected(self, key77):
         with pytest.raises(KeyFileError):

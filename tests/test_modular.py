@@ -213,13 +213,9 @@ class TestIsProbablePrime:
         mersenne_107 = (1 << 107) - 1  # also prime
         composite = ((1 << 61) - 1) * ((1 << 31) - 1)
         rng = random.Random(7)
-        assert is_probable_prime(mersenne_89, rounds=20, rng=rng)
-        assert is_probable_prime(mersenne_107, rounds=20, rng=rng)
-        assert not is_probable_prime(composite, rounds=20, rng=rng)
-
-    def test_rounds_must_be_positive_above_bound(self):
-        with pytest.raises(ValueError):
-            is_probable_prime((1 << 89) - 1, rounds=0)
+        assert is_probable_prime(mersenne_89, rng=rng)
+        assert is_probable_prime(mersenne_107, rng=rng)
+        assert not is_probable_prime(composite, rng=rng)
 
     def test_spot_check_against_trial_division(self):
         for n in range(100_000, 100_400):

@@ -7,7 +7,6 @@ from cubetag import (
     digit_stream,
     key_from_factors,
     pack_bits_hex,
-    prng_emit,
     prng_init,
     prng_next,
 )
@@ -55,19 +54,15 @@ class TestAdvance:
         assert values == [8, 57, 8, 57]
 
     def test_emit_reduces_to_radix(self, key91):
-        state = prng_init(key91, 2)
-        state, digit = prng_emit(state, 10)
-        assert digit == 8
-        state, digit = prng_emit(state, 10)
-        assert digit == 7  # 57 mod 10
+        # states 8, 57 give digits 8 and 57 mod 10
+        assert digit_stream(key91, 2, 10, 2) == [8, 7]
 
     def test_radix_bounds(self, key91):
-        state = prng_init(key91, 2)
         with pytest.raises(ValueError):
-            prng_emit(state, 1)
+            digit_stream(key91, 2, 1, 1)
         with pytest.raises(ValueError):
-            prng_emit(state, 91)
-        _, digit = prng_emit(state, 90)
+            digit_stream(key91, 2, 91, 1)
+        (digit,) = digit_stream(key91, 2, 90, 1)
         assert 0 <= digit < 90
 
 
