@@ -25,6 +25,7 @@ from .cipher import (
 )
 from .errors import (
     CubeTagError,
+    InvalidArgumentError,
     InvalidCiphertextError,
     InvalidMessageError,
     KeyFileError,
@@ -71,6 +72,7 @@ from .roots import (
 __all__ = [
     "CubeTagError",
     "GameRound",
+    "InvalidArgumentError",
     "InvalidCiphertextError",
     "InvalidMessageError",
     "KeyFileError",

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
+    InvalidArgumentError,
     InvalidCiphertextError,
     InvalidMessageError,
     KeyFileError,
@@ -79,7 +80,9 @@ def cube_root_by_exponent(c: int, key: KeyMaterial) -> int:
     if phi is None:
         raise PrivateKeyRequiredError("private key required to invert")
     if key.mode.exponent != 3 or phi % 9 not in (3, 6):
-        raise ValueError(f"exponent inversion needs cubing with 3 || phi, got phi = {phi}")
+        raise InvalidArgumentError(
+            f"exponent inversion needs cubing with 3 || phi, got phi = {phi}"
+        )
     root = pow(c, pow(3, -1, phi // 3), n)
     if pow(root, 3, n) != c:
         raise NonResidueError(f"{c} is not a cubic residue mod {n}")
@@ -141,7 +144,9 @@ def companion_table(key: KeyMaterial):
     """
     n = key.n
     if n > _TABLE_LIMIT:
-        raise ValueError(f"modulus {n} too large for an exhaustive table (limit {_TABLE_LIMIT})")
+        raise InvalidArgumentError(
+            f"modulus {n} too large for an exhaustive table (limit {_TABLE_LIMIT})"
+        )
     k = key.mode.exponent
     seen = bytearray(n)
     for m in range(1, n):

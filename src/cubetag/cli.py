@@ -18,7 +18,7 @@ from .cipher import (
     parse_ciphertext,
     serialize_ciphertext,
 )
-from .errors import CubeTagError
+from .errors import CubeTagError, InvalidArgumentError
 from .events import play_round
 from .keys import KeyMaterial, KeyMode, generate_key, parse_key, serialize_key
 from .prng import digit_stream, pack_bits_hex
@@ -59,7 +59,7 @@ def _cmd_roots(args: argparse.Namespace) -> int:
     else:
         # Cross-order query: recompute from the factors.
         if key.p is None or key.q is None:
-            raise ValueError(f"order-{order} roots need a composite private key")
+            raise InvalidArgumentError(f"order-{order} roots need a composite private key")
         if order == 2:
             root_set = square_roots_of_unity_composite(key.p, key.q)
         else:

@@ -1,14 +1,19 @@
 """Exception types shared across the package.
 
-Plain ``ValueError`` is used for generic domain errors (bad modulus, even
-group order, out-of-range radix and the like); the classes below exist where
-callers need to distinguish the failure, e.g. a failed inversion modulo a
-composite reveals a factor.
+Every failure the package raises is a ``CubeTagError``. Generic domain
+errors (bad modulus, non-prime factor, out-of-range radix and the like) are
+``InvalidArgumentError``, which is also a ``ValueError``; the other classes
+exist where callers need to distinguish the failure, e.g. a failed inversion
+modulo a composite reveals a factor.
 """
 
 
 class CubeTagError(Exception):
     """Base class for all package-specific errors."""
+
+
+class InvalidArgumentError(CubeTagError, ValueError):
+    """An argument outside the domain the function accepts."""
 
 
 class NotInvertibleError(CubeTagError):

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cipher import decrypt_candidates, encrypt
+from .errors import InvalidArgumentError
 from .keys import KeyMaterial
 from .roots import UnityRootSet
 
@@ -32,7 +33,7 @@ class RootGrouping:
 def partition_nine_roots(roots: UnityRootSet) -> RootGrouping:
     """Pair each non-1 root with its square, giving four {1, x, x**2} triples."""
     if len(roots) != 9:
-        raise ValueError(f"expected nine cube roots of 1, got {len(roots)}")
+        raise InvalidArgumentError(f"expected nine cube roots of 1, got {len(roots)}")
     n = roots.modulus
     groups = []
     remaining = set(roots.nontrivial())
@@ -88,7 +89,7 @@ def play_round(
     with his; success iff the triple choices match (probability 1/4 under
     uniform independent choices)."""
     if not (1 <= alice_choice <= 4 and 1 <= bob_choice <= 4):
-        raise ValueError("group choices must be in [1, 4]")
+        raise InvalidArgumentError("group choices must be in [1, 4]")
     grouping = partition_nine_roots(key.roots)
     c = encrypt(m, key).c
     n = key.n

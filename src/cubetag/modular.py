@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 
-from .errors import NonResidueError, NotInvertibleError
+from .errors import InvalidArgumentError, NonResidueError, NotInvertibleError
 
 # Deterministic Miller-Rabin witnesses: the first 13 primes decide primality
 # for every n below this bound (Sorenson & Webster).
@@ -33,9 +33,9 @@ def mod_inverse(a: int, modulus: int) -> int:
     the gcd because for a composite modulus that value is a factor.
     """
     if a < 0:
-        raise ValueError(f"a must be non-negative, got {a}")
+        raise InvalidArgumentError(f"a must be non-negative, got {a}")
     if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
+        raise InvalidArgumentError(f"modulus must be >= 2, got {modulus}")
     a %= modulus
     try:
         return pow(a, -1, modulus)
@@ -49,9 +49,9 @@ def crt_combine(residue_p: int, residue_q: int, p: int, q: int) -> int:
     Garner's form: r_q + q*((r_p - r_q)*(q^-1 mod p) mod p).
     """
     if p < 2 or q < 2:
-        raise ValueError("crt moduli must be >= 2")
+        raise InvalidArgumentError("crt moduli must be >= 2")
     if math.gcd(p, q) != 1:
-        raise ValueError(f"crt moduli must be coprime, gcd({p}, {q}) != 1")
+        raise InvalidArgumentError(f"crt moduli must be coprime, gcd({p}, {q}) != 1")
     residue_q %= q
     return residue_q + q * ((residue_p - residue_q) * pow(q, -1, p) % p)
 
@@ -66,9 +66,9 @@ def kth_root_mod_prime(c: int, p: int, k: int) -> int:
     Tonelli-Shanks. Raises NonResidueError when c has no k-th root.
     """
     if k not in (2, 3):
-        raise ValueError(f"root order must be 2 or 3, got {k}")
+        raise InvalidArgumentError(f"root order must be 2 or 3, got {k}")
     if p < 3 or p % 2 == 0:
-        raise ValueError(f"modulus must be an odd prime, got {p}")
+        raise InvalidArgumentError(f"modulus must be an odd prime, got {p}")
     c %= p
     if c == 0:
         return 0
@@ -105,13 +105,25 @@ def kth_root_mod_prime(c: int, p: int, k: int) -> int:
     return x
 
 
+class _ProvenPrime(int):
+    """An int that has passed is_probable_prime, so the test need not run again.
+
+    Arithmetic on it gives plain ints: only the factor itself carries the proof.
+    """
+
+    __slots__ = ()
+
+
 def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
     """Miller-Rabin primality test with small-prime trial division first.
 
     Deterministic (fixed witness set) for n below ~3.3e24; above that bound
     _MR_ROUNDS random witnesses are drawn from ``rng`` (a fresh system RNG by
-    default).
+    default). A ``_ProvenPrime`` has passed this test already and returns True
+    at once; any other int is tested in full.
     """
+    if isinstance(n, _ProvenPrime):
+        return True
     if n < 2:
         return False
     for sp in _SMALL_PRIMES:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import InvalidArgumentError
 from .keys import KeyMaterial
 
 
@@ -28,12 +29,12 @@ def prng_init(key: KeyMaterial, seed: int) -> PrngState:
     """Start a generator at seed s0; requires a private key with nine cube
     roots of 1 (so 9 | phi) and gcd(s0, n) = 1 with 1 < s0 < n."""
     if key.unity_roots is None or len(key.unity_roots) != 9:
-        raise ValueError("generator needs a private key with nine cube roots of 1")
+        raise InvalidArgumentError("generator needs a private key with nine cube roots of 1")
     n = key.n
     if not 1 < seed < n:
-        raise ValueError(f"seed must be in (1, {n}), got {seed}")
+        raise InvalidArgumentError(f"seed must be in (1, {n}), got {seed}")
     if math.gcd(seed, n) != 1:
-        raise ValueError(f"seed {seed} shares a factor with the modulus")
+        raise InvalidArgumentError(f"seed {seed} shares a factor with the modulus")
     return PrngState(n=n, s=seed)
 
 
@@ -47,10 +48,10 @@ def digit_stream(key: KeyMaterial, seed: int, radix: int, count: int) -> list[in
     """First `count` output digits for (key, seed, radix); the seed itself is
     never emitted."""
     if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+        raise InvalidArgumentError(f"count must be >= 0, got {count}")
     state = prng_init(key, seed)
     if not 2 <= radix < state.n:
-        raise ValueError(f"radix must be in [2, {state.n}), got {radix}")
+        raise InvalidArgumentError(f"radix must be in [2, {state.n}), got {radix}")
     digits = []
     for _ in range(count):
         state, value = prng_next(state)
@@ -62,7 +63,7 @@ def pack_bits_hex(bits: list[int]) -> str:
     """Pack a bit list MSB-first into lowercase hex, zero-padding the tail
     nibble."""
     if any(b not in (0, 1) for b in bits):
-        raise ValueError("bit stream must contain only 0 and 1")
+        raise InvalidArgumentError("bit stream must contain only 0 and 1")
     out = []
     for i in range(0, len(bits), 4):
         nibble = bits[i:i + 4] + [0] * (4 - len(bits[i:i + 4]))

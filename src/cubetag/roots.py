@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InvalidArgumentError
 from .modular import crt_combine, is_probable_prime, kth_root_mod_prime, mod_inverse
 
 
@@ -23,12 +24,14 @@ class UnityRootSet:
 
     def __post_init__(self):
         if self.order not in (2, 3):
-            raise ValueError(f"unsupported root order {self.order}")
+            raise InvalidArgumentError(f"unsupported root order {self.order}")
         if list(self.roots) != sorted(set(self.roots)) or 1 not in self.roots:
-            raise ValueError("roots must be ascending, unique, and contain 1")
+            raise InvalidArgumentError("roots must be ascending, unique, and contain 1")
         for u in self.roots:
             if pow(u, self.order, self.modulus) != 1:
-                raise ValueError(f"{u} is not an order-{self.order} root of 1 mod {self.modulus}")
+                raise InvalidArgumentError(
+                    f"{u} is not an order-{self.order} root of 1 mod {self.modulus}"
+                )
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -47,7 +50,7 @@ class UnityRootSet:
 
 def _require_odd_prime(p: int) -> None:
     if p < 3 or p % 2 == 0 or not is_probable_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
+        raise InvalidArgumentError(f"{p} is not an odd prime")
 
 
 def cube_roots_of_unity_prime(p: int) -> UnityRootSet:
@@ -75,7 +78,7 @@ def cube_roots_of_unity_composite(p: int, q: int) -> UnityRootSet:
     _require_odd_prime(p)
     _require_odd_prime(q)
     if p == q:
-        raise ValueError("factors must be distinct")
+        raise InvalidArgumentError("factors must be distinct")
     roots_p = cube_roots_of_unity_prime(p).roots
     roots_q = cube_roots_of_unity_prime(q).roots
     combined = sorted(
@@ -89,7 +92,7 @@ def square_roots_of_unity_composite(p: int, q: int) -> UnityRootSet:
     _require_odd_prime(p)
     _require_odd_prime(q)
     if p == q:
-        raise ValueError("factors must be distinct")
+        raise InvalidArgumentError("factors must be distinct")
     combined = sorted(
         crt_combine(rp, rq, p, q) for rp in (1, p - 1) for rq in (1, q - 1)
     )

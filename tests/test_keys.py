@@ -1,14 +1,24 @@
+import random
+from dataclasses import replace
+
 import pytest
 
+import cubetag.modular
 from cubetag import (
+    InvalidArgumentError,
     KeyFileError,
     KeyGenerationError,
     KeyMaterial,
     KeyMode,
+    cli,
+    cube_roots_of_unity_composite,
+    cube_roots_of_unity_prime,
     generate_key,
+    is_probable_prime,
     key_from_factors,
     parse_key,
     serialize_key,
+    square_roots_of_unity_composite,
 )
 from oracles import sieve
 
@@ -291,3 +301,107 @@ class TestKeyFiles:
     def test_public_copy_strips_everything(self, key77):
         pub = key77.public()
         assert pub == KeyMaterial(mode=KeyMode.CUBIC3_COMPOSITE, n=77)
+
+
+# Two 46-bit primes whose product lies above the deterministic Miller-Rabin
+# bound (~3.3e24), so only random witnesses can expose it as composite.
+_PRIME_A, _PRIME_B = 35184372088891, 36283883716649
+_COMPOSITE = _PRIME_A * _PRIME_B
+
+
+@pytest.fixture(scope="module")
+def keys256():
+    """One key per mode; every factor is above the deterministic bound."""
+    return {mode: generate_key(mode, bits=256, seed=5) for mode in KeyMode}
+
+
+@pytest.fixture
+def witness_draws(monkeypatch):
+    """Records every Miller-Rabin witness drawn from an unseeded RNG.
+
+    Witnesses from the seeded RNG of generate_key are not recorded.
+    """
+    drawn = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, seed=None):
+            self.unseeded = seed is None
+            super().__init__(seed)
+
+        def randrange(self, *args):
+            if self.unseeded:
+                drawn.append(args)
+            return super().randrange(*args)
+
+    monkeypatch.setattr(cubetag.modular.random, "Random", CountingRandom)
+    return drawn
+
+
+class TestPrimalityTestedOnce:
+    def test_parse_tests_each_factor_once(self, keys256, witness_draws):
+        for mode, key in keys256.items():
+            text = serialize_key(key)
+            witness_draws.clear()
+            assert parse_key(text) == key
+            assert len(witness_draws) == (40 if mode is KeyMode.CUBIC3_PRIME else 80), mode
+
+    def test_built_key_factors_are_not_retested(self, keys256, witness_draws):
+        for mode, key in keys256.items():
+            assert key_from_factors(mode, key.p, key.q) == key
+        assert witness_draws == []
+
+    def test_generated_key_is_not_retested(self, witness_draws):
+        for mode in KeyMode:
+            generate_key(mode, bits=256, seed=6)
+        assert witness_draws == []
+
+    def test_cross_order_roots_add_no_test(self, keys256, witness_draws, tmp_path, capsys):
+        path = tmp_path / "k.key"
+        path.write_text(serialize_key(keys256[KeyMode.CUBIC3_COMPOSITE]))
+        for order in ("2", "3"):
+            witness_draws.clear()
+            assert cli.main(["roots", "--key", str(path), "--order", order]) == 0
+            assert len(capsys.readouterr().out.split()) == (4 if order == "2" else 3)
+            # the 2 x 40 witnesses of loading the key, none for the roots
+            assert len(witness_draws) == 80
+
+
+class TestNonPrimeFactorsRejected:
+    def test_composite_factor_in_key_file(self):
+        assert is_probable_prime(_PRIME_A) and is_probable_prime(_PRIME_B)
+        assert _COMPOSITE > 2**82
+        text = (
+            f"mode=CUBIC3_COMPOSITE\nn={_COMPOSITE * 11}\np={_COMPOSITE}\nq=11\n"
+            f"phi={(_COMPOSITE - 1) * 10}\nalpha=2\n"
+        )
+        with pytest.raises(KeyFileError) as info:
+            parse_key(text)
+        assert info.value.line == 3
+        assert "is not" in str(info.value)
+
+    def test_composite_factor_in_root_routines(self):
+        for call in (
+            lambda: cube_roots_of_unity_prime(_COMPOSITE),
+            lambda: cube_roots_of_unity_composite(_COMPOSITE, 11),
+            lambda: cube_roots_of_unity_composite(11, _COMPOSITE),
+            lambda: square_roots_of_unity_composite(_COMPOSITE, 11),
+            lambda: square_roots_of_unity_composite(11, _COMPOSITE),
+        ):
+            with pytest.raises(InvalidArgumentError, match="not an odd prime"):
+                call()
+
+    def test_proven_factors_look_like_plain_ints(self, keys256):
+        assert not any(
+            isinstance(value, type) and issubclass(value, int)
+            for value in vars(cubetag).values()
+        )
+        for key in keys256.values():
+            plain = replace(key, p=int(key.p), q=None if key.q is None else int(key.q))
+            assert type(plain.p) is int
+            assert plain == key and hash(plain) == hash(key)
+            assert repr(plain) == repr(key)
+            assert serialize_key(plain) == serialize_key(key)
+            # the proof stays with the factor: n and phi are tested in full
+            assert type(key.n) is int and type(key.phi) is int
+        key = keys256[KeyMode.CUBIC3_COMPOSITE]
+        assert not is_probable_prime(key.p * key.q)
