@@ -56,14 +56,24 @@ def crt_combine(residue_p: int, residue_q: int, p: int, q: int) -> int:
     return residue_q + q * ((residue_p - residue_q) * pow(q, -1, p) % p)
 
 
+def _primitive_unity_root(p: int, k: int) -> tuple[int, int]:
+    """The least k-th non-residue g of p, and zeta = g**((p-1)/k), a primitive k-th root of 1."""
+    g = 2
+    while (zeta := pow(g, (p - 1) // k, p)) == 1:
+        g += 1
+    return g, zeta
+
+
 def kth_root_mod_prime(c: int, p: int, k: int) -> int:
-    """Return one k-th root of c mod an odd prime p, for k = 2 or 3.
+    """Return one k-th root x of c mod an odd prime p, for k = 2 or 3.
 
     Adleman-Manders-Miller: write p-1 = k**s * t with k not dividing t and
     guess x = c**(k^-1 mod t). The guess is a root whenever s <= 1 and c is a
-    residue; otherwise x**k / c lies in the order-k**s subgroup and x is
-    corrected there one base-k digit at a time. For k = 2 this is
-    Tonelli-Shanks. Raises NonResidueError when c has no k-th root.
+    residue; otherwise x**k / c lies in the subgroup generated by g**t, g the
+    least k-th non-residue, and x is corrected there one base-k digit at a
+    time. For k = 2 this is Tonelli-Shanks. p must be prime (not tested):
+    the result is a verified root, else a CubeTagError is raised (for p prime,
+    NonResidueError exactly when c has no k-th root).
     """
     if k not in (2, 3):
         raise InvalidArgumentError(f"root order must be 2 or 3, got {k}")
@@ -75,12 +85,12 @@ def kth_root_mod_prime(c: int, p: int, k: int) -> int:
     s, t = 0, p - 1
     while t % k == 0:
         s, t = s + 1, t // k
-    inverse_k = pow(k, -1, t)
-    x = pow(c, inverse_k, p)
-    if s == 0 or pow(x, k, p) == c:
+    x = pow(c, pow(k, -1, t), p)
+    if (x_k := pow(x, k, p)) == c:
         return x
-    error = pow(c, k * inverse_k - 1, p)  # x**k / c
-    generator = zeta = None
+    error = x_k * mod_inverse(c, p) % p  # x**k / c
+    g, zeta = _primitive_unity_root(p, k)
+    generator = pow(g, t, p)
     m = s  # for a residue, error has order below k**m; generator has order k**m
     while error != 1:
         top = error
@@ -92,11 +102,6 @@ def kth_root_mod_prime(c: int, p: int, k: int) -> int:
         else:
             raise NonResidueError(f"{c} has no {'square' if k == 2 else 'cube'} root mod {p}")
         # top = error**(k**(i-1)) = zeta**j for some 0 < j < k.
-        if generator is None:
-            g = 2
-            while (zeta := pow(g, (p - 1) // k, p)) == 1:
-                g += 1
-            generator = pow(g, t, p)
         w = pow(generator, k ** (m - i - 1), p)
         generator, m = pow(w, k, p), i
         step = k - 1 if top == zeta else 1  # k - j, so zeta**step * top == 1

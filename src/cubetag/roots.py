@@ -1,9 +1,11 @@
 """Roots of unity modulo primes and two-factor composites.
 
-The cipher's companion sets are built from the k-th roots of 1 (k = 2 or 3).
-Root sets are always returned in ascending order, which is the shared
-canonical ordering the rank tags rely on; the set sizes that occur here are
-1 or 3 modulo a prime and 1, 3, 4 or 9 modulo p*q.
+The cipher's companion sets are built from the k-th roots of 1 (k = 2 or 3):
+mod a prime, the powers of one primitive root of unity (no square root is
+taken); mod p*q, every pair of per-prime roots joined by CRT. Root sets are
+always returned in ascending order, which is the shared canonical ordering
+the rank tags rely on; the set sizes that occur here are 1 or 3 modulo a
+prime and 1, 3, 4 or 9 modulo p*q.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError
-from .modular import crt_combine, is_probable_prime, kth_root_mod_prime, mod_inverse
+from .modular import _primitive_unity_root, crt_combine, is_probable_prime
 
 
 @dataclass(frozen=True)
@@ -23,6 +25,8 @@ class UnityRootSet:
     roots: tuple[int, ...]
 
     def __post_init__(self):
+        if self.modulus < 2:
+            raise InvalidArgumentError(f"modulus must be >= 2, got {self.modulus}")
         if self.order not in (2, 3):
             raise InvalidArgumentError(f"unsupported root order {self.order}")
         if list(self.roots) != sorted(set(self.roots)) or 1 not in self.roots:
@@ -53,47 +57,37 @@ def _require_odd_prime(p: int) -> None:
         raise InvalidArgumentError(f"{p} is not an odd prime")
 
 
+def _garner_product(k: int, p: int, q: int, roots_p: tuple, roots_q: tuple) -> UnityRootSet:
+    """The k-th roots of 1 mod p*q: every pair of per-prime roots, joined by CRT."""
+    if p == q:
+        raise InvalidArgumentError("factors must be distinct")
+    combined = sorted(crt_combine(rp, rq, p, q) for rp in roots_p for rq in roots_q)
+    return UnityRootSet(p * q, k, tuple(combined))
+
+
 def cube_roots_of_unity_prime(p: int) -> UnityRootSet:
-    """All solutions of x**3 = 1 mod an odd prime p.
+    """All solutions of x**3 = 1 mod p, which must be an odd prime (tested).
 
     For p = 2 mod 3 (and p = 3) cubing is a bijection and {1} is returned.
-    For p = 1 mod 3 the two extra roots solve x**2 + x + 1 = 0, i.e.
-    (-1 +/- sqrt(p-3)) / 2; sqrt(p-3) always exists for such p.
+    For p = 1 mod 3 they are 1, z, z**2 for z = g**((p-1)/3), a primitive
+    cube root of 1 (g the least cubic non-residue); no square root is taken.
     """
     _require_odd_prime(p)
     if p % 3 != 1:
         return UnityRootSet(p, 3, (1,))
-    s = kth_root_mod_prime(p - 3, p, 2)
-    half = mod_inverse(2, p)
-    a1 = (s - 1) * half % p
-    a2 = (-1 - s) * half % p
-    return UnityRootSet(p, 3, tuple(sorted({1, a1, a2})))
+    _, z = _primitive_unity_root(p, 3)
+    return UnityRootSet(p, 3, tuple(sorted((1, z, z * z % p))))
 
 
 def cube_roots_of_unity_composite(p: int, q: int) -> UnityRootSet:
-    """Cube roots of 1 mod p*q: per-prime sets combined over all CRT pairs.
-
-    The set size is the product of the per-prime sizes: 1, 3, or 9.
-    """
+    """Cube roots of 1 mod p*q, one per pair of per-prime roots: 1, 3 or 9 of them."""
     _require_odd_prime(p)
     _require_odd_prime(q)
-    if p == q:
-        raise InvalidArgumentError("factors must be distinct")
-    roots_p = cube_roots_of_unity_prime(p).roots
-    roots_q = cube_roots_of_unity_prime(q).roots
-    combined = sorted(
-        crt_combine(rp, rq, p, q) for rp in roots_p for rq in roots_q
-    )
-    return UnityRootSet(p * q, 3, tuple(combined))
+    return _garner_product(3, p, q, *(cube_roots_of_unity_prime(f).roots for f in (p, q)))
 
 
 def square_roots_of_unity_composite(p: int, q: int) -> UnityRootSet:
     """The four solutions of x**2 = 1 mod p*q for distinct odd primes p, q."""
     _require_odd_prime(p)
     _require_odd_prime(q)
-    if p == q:
-        raise InvalidArgumentError("factors must be distinct")
-    combined = sorted(
-        crt_combine(rp, rq, p, q) for rp in (1, p - 1) for rq in (1, q - 1)
-    )
-    return UnityRootSet(p * q, 2, tuple(combined))
+    return _garner_product(2, p, q, (1, p - 1), (1, q - 1))

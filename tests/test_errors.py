@@ -6,6 +6,7 @@ from cubetag import (
     CubeTagError,
     InvalidArgumentError,
     KeyMode,
+    UnityRootSet,
     cube_root_by_exponent,
     digit_stream,
     key_from_factors,
@@ -20,6 +21,7 @@ def test_invalid_arguments_are_typed(key77, key91):
         lambda: cube_root_by_exponent(2, key91),  # 9 | phi: no inverse exponent
         lambda: key_from_factors(KeyMode.CUBIC3_COMPOSITE, 7, 9),  # 9 is not prime
         lambda: play_round(key77, 2, 1, 1),  # three roots, the game needs nine
+        lambda: UnityRootSet(0, 3, (1,)),  # modulus below 2
     )
     for probe in probes:
         with pytest.raises(CubeTagError) as info:

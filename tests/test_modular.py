@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubetag import (
+    CubeTagError,
     NonResidueError,
     NotInvertibleError,
     crt_combine,
@@ -172,6 +173,21 @@ class TestKthRootModPrime:
     def test_brute_force_below_10000(self, k):
         for p in sieve(10_000)[1:]:
             _check_every_residue(p, k)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_composite_modulus_never_gives_a_wrong_root(self, k):
+        # p must be prime, but a composite one still gets a verified root or
+        # a typed error: never a non-root (8**3 = 8 mod 9) or a bare ValueError
+        primes = set(sieve(400))
+        for p in range(9, 400, 2):
+            if p in primes:
+                continue
+            for c in range(1, p):
+                try:
+                    x = kth_root_mod_prime(c, p, k)
+                except CubeTagError:
+                    continue
+                assert pow(x, k, p) == c, (c, p, k, x)
 
     @pytest.mark.parametrize("k", [1, 4])
     def test_unsupported_order_rejected(self, k):

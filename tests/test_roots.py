@@ -1,12 +1,14 @@
 import pytest
 
 from cubetag import (
+    InvalidArgumentError,
     UnityRootSet,
     cube_roots_of_unity_composite,
     cube_roots_of_unity_prime,
     square_roots_of_unity_composite,
 )
 from oracles import kth_roots_of_unity, sieve
+from shaped_primes import SHAPED_PRIMES
 
 
 class TestCubeRootsPrime:
@@ -137,6 +139,42 @@ class TestUnityRootSetValidation:
         with pytest.raises(ValueError):
             UnityRootSet(31, 5, (1,))
 
+    def test_modulus_below_two_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            UnityRootSet(0, 3, (1,))
+
     def test_smallest_nontrivial(self):
         assert cube_roots_of_unity_composite(7, 11).smallest_nontrivial == 23
         assert cube_roots_of_unity_prime(11).smallest_nontrivial is None
+
+
+# 2048-bit primes cost ~1.5 s each in the primality test, so they run with the slow sweeps
+_SHAPES = [
+    pytest.param(shape, id="-".join(map(str, shape)), marks=pytest.mark.slow if shape[0] == 2048 else ())
+    for shape in sorted(SHAPED_PRIMES)
+]
+
+
+class TestRealSizes:
+    """Unity roots of real-size primes, including the 9 | p-1 shape keygen never samples."""
+
+    @pytest.mark.parametrize("shape", _SHAPES)
+    def test_prime_roots_are_powers_of_a_primitive_root(self, shape):
+        p = SHAPED_PRIMES[shape]
+        roots = cube_roots_of_unity_prime(p).roots
+        if (p - 1) % 3:
+            assert roots == (1,)
+            return
+        assert len(roots) == 3 and roots[0] == 1 and list(roots) == sorted(roots)
+        for u in roots:
+            assert pow(u, 3, p) == 1
+        for u in roots[1:]:
+            assert (1 + u + u * u) % p == 0
+
+    def test_composite_sets(self):
+        p, q = SHAPED_PRIMES[512, 1, 1], SHAPED_PRIMES[512, 2, 2]
+        cubes = cube_roots_of_unity_composite(p, q).roots
+        assert len(cubes) == 9 and all(pow(u, 3, p * q) == 1 for u in cubes)
+        p = SHAPED_PRIMES[512, 1, 0]
+        squares = square_roots_of_unity_composite(p, q).roots
+        assert len(squares) == 4 and all(u * u % (p * q) == 1 for u in squares)
