@@ -17,12 +17,10 @@ from .errors import (
     InvalidArgumentError,
     InvalidCiphertextError,
     InvalidMessageError,
-    KeyFileError,
     NonResidueError,
-    PrivateKeyRequiredError,
     TagRangeError,
 )
-from .keys import KeyMaterial, KeyMode, _decimal_field, _file_lines
+from .keys import KeyMaterial, KeyMode, _decimal_field, _file_lines, _require_lines
 from .modular import crt_combine, kth_root_mod_prime
 
 # Largest modulus companion_table will sweep; the table is exhaustive by design.
@@ -59,10 +57,7 @@ def encrypt(m: int, key: KeyMaterial) -> TaggedCiphertext:
         raise InvalidMessageError(f"message must be in [1, {n}), got {m}")
     g = math.gcd(m, n)
     if g != 1:
-        raise InvalidMessageError(
-            f"message {m} shares a factor with the modulus",
-            factor=g if g < n else None,
-        )
+        raise InvalidMessageError(f"message {m} shares a factor with the modulus", factor=g)
     companions = _companions(m, key)
     tag = companions.index(m) + 1
     return TaggedCiphertext(c=pow(m, key.mode.exponent, n), tag=tag, mode=key.mode)
@@ -77,8 +72,6 @@ def cube_root_by_exponent(c: int, key: KeyMaterial) -> int:
     """
     _require_ciphertext(c, key)
     phi, n = key.phi, key.n
-    if phi is None:
-        raise PrivateKeyRequiredError("private key required to invert")
     if key.mode.exponent != 3 or phi % 9 not in (3, 6):
         raise InvalidArgumentError(
             f"exponent inversion needs cubing with 3 || phi, got phi = {phi}"
@@ -93,17 +86,14 @@ def kth_root(c: int, key: KeyMaterial) -> int:
     """One k-th root of c mod n (k the key's exponent): a root modulo each
     prime factor, recombined by CRT. A prime modulus is the one-factor case.
 
-    Raises InvalidCiphertextError unless 1 <= c < n and gcd(c, n) = 1, and
-    NonResidueError when c has no k-th root.
+    Raises InvalidCiphertextError unless 1 <= c < n and gcd(c, n) = 1,
+    PrivateKeyRequiredError for a public key, and NonResidueError when c has
+    no k-th root.
     """
     _require_ciphertext(c, key)
-    if key.p is None:
-        raise PrivateKeyRequiredError("private factors required to take roots")
-    k = key.mode.exponent
-    root = kth_root_mod_prime(c, key.p, k)
-    if key.q is None:
-        return root
-    return crt_combine(root, kth_root_mod_prime(c, key.q, k), key.p, key.q)
+    factors = key.factors
+    roots = [kth_root_mod_prime(c, f, key.mode.exponent) for f in factors]
+    return crt_combine(*roots, *factors) if len(roots) == 2 else roots[0]
 
 
 def decrypt_candidates(c: int, key: KeyMaterial) -> list[int]:
@@ -128,12 +118,14 @@ def serialize_ciphertext(ct: TaggedCiphertext) -> str:
 
 
 def parse_ciphertext(text: str, mode: KeyMode) -> TaggedCiphertext:
+    """Parse a ciphertext file, which must read exactly as serialize_ciphertext
+    writes it; raises KeyFileError naming the first line at fault."""
     lines = _file_lines(text)
-    if len(lines) != 2:
-        raise KeyFileError(f"ciphertext file must have 2 lines, got {len(lines)}")
-    return TaggedCiphertext(
+    ct = TaggedCiphertext(
         c=_decimal_field(lines, 0, "c"), tag=_decimal_field(lines, 1, "tag"), mode=mode
     )
+    _require_lines(lines, serialize_ciphertext(ct))
+    return ct
 
 
 def companion_table(key: KeyMaterial):

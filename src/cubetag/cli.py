@@ -20,7 +20,7 @@ from .cipher import (
 )
 from .errors import CubeTagError, InvalidArgumentError
 from .events import play_round
-from .keys import KeyMaterial, KeyMode, generate_key, parse_key, serialize_key
+from .keys import KeyMode, generate_key, parse_key, serialize_key
 from .prng import digit_stream, pack_bits_hex
 from .roots import cube_roots_of_unity_composite, square_roots_of_unity_composite
 
@@ -32,9 +32,11 @@ _MODE_NAMES = {
 }
 
 
-def _load_key(path: str) -> KeyMaterial:
-    with open(path, "r", encoding="ascii") as handle:
-        return parse_key(handle.read())
+def _read_file(path: str) -> str:
+    """A key or ciphertext file's text. A byte outside ASCII is kept as a lone
+    surrogate, so the parser rejects it with a KeyFileError naming its line."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
+        return handle.read()
 
 
 def _write_text(path: str, text: str) -> None:
@@ -52,25 +54,24 @@ def _cmd_keygen(args: argparse.Namespace) -> int:
 
 
 def _cmd_roots(args: argparse.Namespace) -> int:
-    key = _load_key(args.key)
+    key = parse_key(_read_file(args.key))
     order = args.order if args.order else key.mode.exponent
     if order == key.mode.exponent:
         root_set = key.roots
     else:
         # Cross-order query: recompute from the factors.
-        if key.p is None or key.q is None:
+        factors = key.factors
+        if len(factors) != 2:
             raise InvalidArgumentError(f"order-{order} roots need a composite private key")
-        if order == 2:
-            root_set = square_roots_of_unity_composite(key.p, key.q)
-        else:
-            root_set = cube_roots_of_unity_composite(key.p, key.q)
+        derive = square_roots_of_unity_composite if order == 2 else cube_roots_of_unity_composite
+        root_set = derive(*factors)
     for root in root_set:
         print(root)
     return 0
 
 
 def _cmd_encrypt(args: argparse.Namespace) -> int:
-    key = _load_key(args.key)
+    key = parse_key(_read_file(args.key))
     ct = encrypt(args.message, key)
     text = serialize_ciphertext(ct)
     if args.out:
@@ -81,15 +82,14 @@ def _cmd_encrypt(args: argparse.Namespace) -> int:
 
 
 def _cmd_decrypt(args: argparse.Namespace) -> int:
-    key = _load_key(args.key)
-    with open(args.infile, "r", encoding="ascii") as handle:
-        ct = parse_ciphertext(handle.read(), key.mode)
+    key = parse_key(_read_file(args.key))
+    ct = parse_ciphertext(_read_file(args.infile), key.mode)
     print(decrypt(ct, key))
     return 0
 
 
 def _cmd_rand(args: argparse.Namespace) -> int:
-    key = _load_key(args.key)
+    key = parse_key(_read_file(args.key))
     digits = digit_stream(key, args.seed, args.radix, args.count)
     if args.hex:
         print(pack_bits_hex(digits))
@@ -100,7 +100,7 @@ def _cmd_rand(args: argparse.Namespace) -> int:
 
 
 def _cmd_game(args: argparse.Namespace) -> int:
-    key = _load_key(args.key)
+    key = parse_key(_read_file(args.key))
     round_ = play_round(key, args.message, args.alice, args.bob)
     print(f"c={round_.c}")
     print(f"coset={round_.coset}")
@@ -113,7 +113,7 @@ def _cmd_game(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    key = _load_key(args.key)
+    key = parse_key(_read_file(args.key))
     for companions, c in companion_table(key):
         print(f"{' '.join(str(v) for v in companions)} -> {c}")
     return 0

@@ -7,7 +7,9 @@ the modes apart: the exponent, the factor shapes key generation samples,
 the totient constraint, and the private key-file fields.
 
 Both communicating parties hold the factors; the private key file carries
-them, the ``.pub`` variant only the mode and modulus.
+them, the ``.pub`` variant only the mode and modulus. ``KeyMaterial.factors``
+is the one gate to the private part. A file is read back by rebuilding the
+key from its factors and requiring ``serialize_key`` to reproduce it.
 
 Proving the factors prime is the bulk of loading a key. ``key_from_factors``
 tests each factor once and keeps it as a proven prime, which every later
@@ -24,6 +26,7 @@ import random
 import re
 import reprlib
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 from typing import Callable
 
 from .errors import InvalidArgumentError, KeyFileError, KeyGenerationError, PrivateKeyRequiredError
@@ -104,11 +107,16 @@ class KeyMaterial:
         return self.p is not None
 
     @property
-    def phi(self) -> int | None:
-        """Euler's totient of n, from the factors; None for a public key."""
+    def factors(self) -> tuple[int, ...]:
+        """The primes of n: (n,) in prime mode, else (p, q)."""
         if self.p is None:
-            return None
-        return (self.p - 1) * (1 if self.q is None else self.q - 1)
+            raise PrivateKeyRequiredError("operation needs the private key (the factors of n)")
+        return (self.p,) if self.q is None else (self.p, self.q)
+
+    @property
+    def phi(self) -> int:
+        """Euler's totient of n, from the factors."""
+        return math.prod(f - 1 for f in self.factors)
 
     @property
     def roots(self) -> UnityRootSet:
@@ -219,6 +227,15 @@ def _decimal_field(lines: list[str], index: int, name: str) -> int:
     return int(line[len(name) + 1:])
 
 
+def _require_lines(lines: list[str], serialized: str) -> None:
+    """Require a file's lines to read exactly as `serialized`, naming the first that differs."""
+    for number, (got, want) in enumerate(zip_longest(lines, _file_lines(serialized)), 1):
+        if got != want:
+            expected = "end of file" if want is None else reprlib.repr(want)
+            found = "end of file" if got is None else reprlib.repr(got)
+            raise KeyFileError(f"expected {expected}, got {found}", line=number)
+
+
 def serialize_key(key: KeyMaterial) -> str:
     """Render a key file; a public key (``key.public()``) gives only mode and n."""
     lines = [f"mode={key.mode.value}", f"n={key.n}"]
@@ -228,9 +245,13 @@ def serialize_key(key: KeyMaterial) -> str:
 
 
 def parse_key(text: str) -> KeyMaterial:
-    """Parse a key file, re-deriving and validating the private material.
+    """Parse a key file: two lines (mode, n) for a public key, else a private
+    file that must read exactly as serialize_key writes the key its factors give.
 
-    Raises KeyFileError (with the line number) on any malformation.
+    Only the mode, n, the factor lines and alpha are read. The key is rebuilt
+    with key_from_factors, keeping the file's alpha when it is a nontrivial
+    root of 1, and every other field is checked by that comparison. Raises
+    KeyFileError naming the first line at fault.
     """
     lines = _file_lines(text)
     mode = next((m for m in KeyMode if lines[0] == f"mode={m.value}"), None)
@@ -243,31 +264,16 @@ def parse_key(text: str) -> KeyMaterial:
         return KeyMaterial(mode=mode, n=n)
 
     fields = _MODES[mode].private_fields
-    if len(lines) != 2 + len(fields):
-        raise KeyFileError(
-            f"expected {2 + len(fields)} lines for a private {mode.value} key, got {len(lines)}",
-            line=len(lines),
-        )
-    values = {name: _decimal_field(lines, 2 + i, name) for i, name in enumerate(fields)}
-    factors = [values[name] for name in ("p", "q") if name in values] or [n]
-    if math.prod(factors) != n:
-        raise KeyFileError(f"p*q = {math.prod(factors)} does not match n = {n}", line=3)
+    factors = [_decimal_field(lines, 2 + i, f) for i, f in enumerate(fields) if f in ("p", "q")]
     try:
-        key = key_from_factors(mode, *factors)
+        key = key_from_factors(mode, *(factors or [n]))
     except (ValueError, KeyGenerationError) as exc:
         # name the p= line, or n= in prime mode where n is the factor
-        raise KeyFileError(f"invalid key material: {exc}", line=3 if "p" in values else 2) from exc
-    if values["phi"] != key.phi:
-        raise KeyFileError(
-            f"phi = {values['phi']} does not match the factors",
-            line=3 + fields.index("phi"),
-        )
-    if "alpha" in values and values["alpha"] != key.alpha:
-        # The agreed root need not be the smallest; keep the file's choice.
-        if values["alpha"] not in key.roots.nontrivial():
-            raise KeyFileError(
-                f"alpha = {values['alpha']} is not a nontrivial cube root of 1 mod n",
-                line=3 + fields.index("alpha"),
-            )
-        key = replace(key, alpha=values["alpha"])
+        raise KeyFileError(f"invalid key material: {exc}", line=3 if factors else 2) from exc
+    # The agreed alpha need not be the smallest nontrivial root; keep the file's choice.
+    agreed = dict(zip(fields, lines[2:])).get("alpha")
+    key = next(
+        (replace(key, alpha=u) for u in key.roots.nontrivial() if agreed == f"alpha={u}"), key
+    )
+    _require_lines(lines, serialize_key(key))
     return key

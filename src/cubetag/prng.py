@@ -27,8 +27,9 @@ class PrngState:
 
 def prng_init(key: KeyMaterial, seed: int) -> PrngState:
     """Start a generator at seed s0; requires a private key with nine cube
-    roots of 1 (so 9 | phi) and gcd(s0, n) = 1 with 1 < s0 < n."""
-    if key.unity_roots is None or len(key.unity_roots) != 9:
+    roots of 1 (so 9 | phi; PrivateKeyRequiredError for a public key) and
+    gcd(s0, n) = 1 with 1 < s0 < n."""
+    if len(key.roots) != 9:
         raise InvalidArgumentError("generator needs a private key with nine cube roots of 1")
     n = key.n
     if not 1 < seed < n:

@@ -85,6 +85,10 @@ class TestCubeRootByExponent:
         assert cube_root_by_exponent(1, key31) == 1
         assert cube_root_by_exponent(1, key77) == 1
 
+    def test_needs_private_key(self, key77):
+        with pytest.raises(PrivateKeyRequiredError):
+            cube_root_by_exponent(34, key77.public())
+
     def test_nine_root_mode_unsupported(self, key91):
         with pytest.raises(ValueError):
             cube_root_by_exponent(83, key91)
@@ -266,7 +270,8 @@ class TestCiphertextFiles:
             with pytest.raises(KeyFileError):
                 parse_ciphertext(bad, key91.mode)
         for bad, line in (("c=083\ntag=2\n", 1), ("c=83\ntag=02\n", 2), ("c=83\ntag=2", 2),
-                          (f"c={'7' * 5000}\ntag=2\n", 1)):
+                          (f"c={'7' * 5000}\ntag=2\n", 1), ("c=83\n", 2),
+                          ("c=83\ntag=2\nextra=1\n", 3), ("c=83\ntag=2\n\n", 3)):
             with pytest.raises(KeyFileError) as info:
                 parse_ciphertext(bad, key91.mode)
             assert info.value.line == line

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -186,6 +187,26 @@ class TestEncryptDecrypt:
                        str(m), "--out", str(ct))[0] == 0
             code, out, _ = run(capsys, "decrypt", "--key", str(keyfile), "--in", str(ct))
             assert code == 0 and out == f"{m}\n"
+
+
+class TestFileBytes:
+    """A byte outside ASCII in a key or ciphertext file is a KeyFileError naming its line."""
+
+    def test_non_ascii_key_byte(self, keyfile77, tmp_path, capsys):
+        bad = tmp_path / "bad.key"
+        for old, new, line in ((b"p=7\n", b"p=7\xc2\n", 3), (b"n=77\n", b"n=77\xff\n", 2)):
+            bad.write_bytes(Path(keyfile77).read_bytes().replace(old, new))
+            code, out, err = run(capsys, "roots", "--key", str(bad))
+            assert (code, out) == (1, "")
+            assert err.startswith(f"cubetag: line {line}: ")
+
+    def test_non_ascii_ciphertext_byte(self, keyfile77, tmp_path, capsys):
+        bad = tmp_path / "bad.ct"
+        for text, line in ((b"c=34\ntag=1\xc2\n", 2), (b"c=\xc2\xb234\ntag=1\n", 1)):
+            bad.write_bytes(text)
+            code, out, err = run(capsys, "decrypt", "--key", keyfile77, "--in", str(bad))
+            assert (code, out) == (1, "")
+            assert err.startswith(f"cubetag: line {line}: ")
 
 
 class TestRand:

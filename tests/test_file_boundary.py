@@ -1,6 +1,7 @@
 """Property: a key or ciphertext file with a few characters edited either
-fails to parse with a CubeTagError or re-serializes to the same bytes, so the
-file boundary accepts exactly one spelling of every value it accepts."""
+fails to parse with a KeyFileError naming a line or re-serializes to the same
+bytes, so the file boundary accepts exactly one spelling of every value it
+accepts."""
 
 from functools import partial
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubetag import (
-    CubeTagError,
+    KeyFileError,
     KeyMode,
     generate_key,
     parse_ciphertext,
@@ -45,8 +46,8 @@ def _edited(draw, texts):
 def _accepted_unchanged(parse, serialize, text):
     try:
         parsed = parse(text)
-    except CubeTagError:
-        return True
+    except KeyFileError as exc:
+        return exc.line is not None or not text
     return serialize(parsed) == text
 
 

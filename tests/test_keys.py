@@ -10,6 +10,7 @@ from cubetag import (
     KeyGenerationError,
     KeyMaterial,
     KeyMode,
+    PrivateKeyRequiredError,
     cli,
     cube_roots_of_unity_composite,
     cube_roots_of_unity_prime,
@@ -72,8 +73,9 @@ class TestClassifyModulus:
             _accepted_cubic_mode(7, 15)
 
     def test_equal_factors_rejected(self):
-        with pytest.raises(ValueError):
-            _accepted_cubic_mode(7, 7)
+        for mode in (KeyMode.CUBIC3_COMPOSITE, KeyMode.CUBIC9_COMPOSITE, KeyMode.SQUARE_COMPOSITE):
+            with pytest.raises(InvalidArgumentError, match="distinct"):
+                key_from_factors(mode, 7, 7)
 
     def test_agrees_with_totient_arithmetic_below_100(self):
         primes = sieve(100)[1:]  # key_from_factors takes odd primes only
@@ -260,12 +262,25 @@ class TestKeyFiles:
         assert info.value.line == 3
 
     def test_wrong_phi_rejected(self, key77):
-        with pytest.raises(KeyFileError):
+        with pytest.raises(KeyFileError) as info:
             parse_key(serialize_key(key77).replace("phi=60", "phi=59"))
+        assert info.value.line == 5
+
+    def test_extra_line_rejected(self, key77):
+        for extra in ("alpha=23\n", "\n"):
+            with pytest.raises(KeyFileError, match="expected end of file") as info:
+                parse_key(serialize_key(key77) + extra)
+            assert info.value.line == 7
+
+    def test_equal_factors_in_key_file_rejected(self):
+        with pytest.raises(KeyFileError, match="distinct") as info:
+            parse_key("mode=CUBIC3_COMPOSITE\nn=49\np=7\nq=7\nphi=36\nalpha=2\n")
+        assert info.value.line == 3
 
     def test_wrong_product_rejected(self, key77):
-        with pytest.raises(KeyFileError):
+        with pytest.raises(KeyFileError) as info:
             parse_key(serialize_key(key77).replace("n=77", "n=78"))
+        assert info.value.line == 2
         # the product matches but the factors do not make a key of the mode:
         # the p= line is named, or n= where n is the prime
         for text, line in (
@@ -278,8 +293,11 @@ class TestKeyFiles:
             assert info.value.line == line
 
     def test_tampered_alpha_rejected(self, key77):
-        with pytest.raises(KeyFileError):
-            parse_key(serialize_key(key77).replace("alpha=23", "alpha=24"))
+        # 24 is no cube root of 1 mod 77; 1 is one, but the trivial one
+        for alpha in ("24", "1", "023"):
+            with pytest.raises(KeyFileError) as info:
+                parse_key(serialize_key(key77).replace("alpha=23", f"alpha={alpha}"))
+            assert info.value.line == 6
 
     def test_non_smallest_agreed_alpha_kept(self, key77):
         text = serialize_key(key77).replace("alpha=23", "alpha=67")
@@ -289,14 +307,19 @@ class TestKeyFiles:
 
     def test_truncated_private_section_rejected(self, key77):
         lines = serialize_key(key77).splitlines(keepends=True)
-        with pytest.raises(KeyFileError):
+        with pytest.raises(KeyFileError) as info:
             parse_key("".join(lines[:-1]))
+        assert info.value.line == 6
 
     def test_public_material_access_guard(self, key91):
-        from cubetag import PrivateKeyRequiredError
+        public = key91.public()
+        for name in ("roots", "factors", "phi"):
+            with pytest.raises(PrivateKeyRequiredError):
+                getattr(public, name)
 
-        with pytest.raises(PrivateKeyRequiredError):
-            _ = key91.public().roots
+    def test_factors(self, key31, key77):
+        assert key31.factors == (31,)
+        assert key77.factors == (7, 11)
 
     def test_public_copy_strips_everything(self, key77):
         pub = key77.public()

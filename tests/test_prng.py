@@ -4,6 +4,7 @@ import pytest
 
 from cubetag import (
     KeyMode,
+    PrivateKeyRequiredError,
     digit_stream,
     key_from_factors,
     pack_bits_hex,
@@ -39,8 +40,10 @@ class TestInit:
         assert prng_init(key91, 90).s == 90
 
     def test_public_key_rejected(self, key91):
-        with pytest.raises(ValueError):
+        with pytest.raises(PrivateKeyRequiredError):
             prng_init(key91.public(), 2)
+        with pytest.raises(PrivateKeyRequiredError):
+            digit_stream(key91.public(), 2, 2, 3)
 
 
 class TestAdvance:
