@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: keygen, roots, encrypt, decrypt, rand, game, table. All values
-cross the boundary as decimal ASCII, all output is LF-terminated. Exit codes:
-0 success, 1 domain error (one-line diagnostic on stderr), 2 usage error.
+cross the boundary as decimal ASCII; input files must end every line in LF,
+like the output. Exit codes: 0 success, 1 domain error (one-line diagnostic
+on stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .cipher import (
 )
 from .errors import CubeTagError, InvalidArgumentError
 from .events import play_round
-from .keys import KeyMode, generate_key, parse_key, serialize_key
+from .keys import KeyMaterial, KeyMode, generate_key, parse_key, serialize_key
 from .prng import digit_stream, pack_bits_hex
 from .roots import cube_roots_of_unity_composite, square_roots_of_unity_composite
 
@@ -33,9 +34,9 @@ _MODE_NAMES = {
 
 
 def _read_file(path: str) -> str:
-    """A key or ciphertext file's text. A byte outside ASCII is kept as a lone
-    surrogate, so the parser rejects it with a KeyFileError naming its line."""
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
+    """A key or ciphertext file's text, byte for byte: a CR, or a byte outside
+    ASCII (kept as a lone surrogate), reaches the parser, which names its line."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape", newline="") as handle:
         return handle.read()
 
 
@@ -44,7 +45,7 @@ def _write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _cmd_keygen(args: argparse.Namespace) -> int:
+def _cmd_keygen(args: argparse.Namespace, _key: None) -> int:
     mode = _MODE_NAMES[args.mode]
     key = generate_key(mode, bits=args.bits, seed=args.seed, p=args.p, q=args.q)
     _write_text(args.out, serialize_key(key))
@@ -53,25 +54,23 @@ def _cmd_keygen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_roots(args: argparse.Namespace) -> int:
-    key = parse_key(_read_file(args.key))
-    order = args.order if args.order else key.mode.exponent
-    if order == key.mode.exponent:
+def _cmd_roots(args: argparse.Namespace, key: KeyMaterial) -> int:
+    if args.order in (None, key.mode.exponent):
         root_set = key.roots
     else:
         # Cross-order query: recompute from the factors.
         factors = key.factors
         if len(factors) != 2:
-            raise InvalidArgumentError(f"order-{order} roots need a composite private key")
-        derive = square_roots_of_unity_composite if order == 2 else cube_roots_of_unity_composite
+            raise InvalidArgumentError(f"order-{args.order} roots need a composite private key")
+        derive = (square_roots_of_unity_composite if args.order == 2
+                  else cube_roots_of_unity_composite)
         root_set = derive(*factors)
     for root in root_set:
         print(root)
     return 0
 
 
-def _cmd_encrypt(args: argparse.Namespace) -> int:
-    key = parse_key(_read_file(args.key))
+def _cmd_encrypt(args: argparse.Namespace, key: KeyMaterial) -> int:
     ct = encrypt(args.message, key)
     text = serialize_ciphertext(ct)
     if args.out:
@@ -81,15 +80,13 @@ def _cmd_encrypt(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_decrypt(args: argparse.Namespace) -> int:
-    key = parse_key(_read_file(args.key))
+def _cmd_decrypt(args: argparse.Namespace, key: KeyMaterial) -> int:
     ct = parse_ciphertext(_read_file(args.infile), key.mode)
     print(decrypt(ct, key))
     return 0
 
 
-def _cmd_rand(args: argparse.Namespace) -> int:
-    key = parse_key(_read_file(args.key))
+def _cmd_rand(args: argparse.Namespace, key: KeyMaterial) -> int:
     digits = digit_stream(key, args.seed, args.radix, args.count)
     if args.hex:
         print(pack_bits_hex(digits))
@@ -99,8 +96,7 @@ def _cmd_rand(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_game(args: argparse.Namespace) -> int:
-    key = parse_key(_read_file(args.key))
+def _cmd_game(args: argparse.Namespace, key: KeyMaterial) -> int:
     round_ = play_round(key, args.message, args.alice, args.bob)
     print(f"c={round_.c}")
     print(f"coset={round_.coset}")
@@ -112,8 +108,7 @@ def _cmd_game(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
-    key = parse_key(_read_file(args.key))
+def _cmd_table(args: argparse.Namespace, key: KeyMaterial) -> int:
     for companions, c in companion_table(key):
         print(f"{' '.join(str(v) for v in companions)} -> {c}")
     return 0
@@ -126,6 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"cubetag {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    keyed = argparse.ArgumentParser(add_help=False)
+    keyed.add_argument("--key", required=True)
 
     p_keygen = sub.add_parser("keygen", help="generate a key pair")
     p_keygen.add_argument("--mode", required=True, choices=sorted(_MODE_NAMES))
@@ -139,25 +136,21 @@ def build_parser() -> argparse.ArgumentParser:
                           help="private key path; public part goes to <out>.pub")
     p_keygen.set_defaults(func=_cmd_keygen)
 
-    p_roots = sub.add_parser("roots", help="list the key's roots of unity")
-    p_roots.add_argument("--key", required=True)
+    p_roots = sub.add_parser("roots", parents=[keyed], help="list the key's roots of unity")
     p_roots.add_argument("--order", type=int, choices=(2, 3), default=None)
     p_roots.set_defaults(func=_cmd_roots)
 
-    p_encrypt = sub.add_parser("encrypt", help="encrypt one message value")
-    p_encrypt.add_argument("--key", required=True)
+    p_encrypt = sub.add_parser("encrypt", parents=[keyed], help="encrypt one message value")
     p_encrypt.add_argument("--message", type=int, required=True)
     p_encrypt.add_argument("--out", default=None,
                            help="ciphertext file; stdout when omitted")
     p_encrypt.set_defaults(func=_cmd_encrypt)
 
-    p_decrypt = sub.add_parser("decrypt", help="decrypt a ciphertext file")
-    p_decrypt.add_argument("--key", required=True)
+    p_decrypt = sub.add_parser("decrypt", parents=[keyed], help="decrypt a ciphertext file")
     p_decrypt.add_argument("--in", dest="infile", required=True)
     p_decrypt.set_defaults(func=_cmd_decrypt)
 
-    p_rand = sub.add_parser("rand", help="stream digits from the cubic generator")
-    p_rand.add_argument("--key", required=True)
+    p_rand = sub.add_parser("rand", parents=[keyed], help="stream digits from the cubic generator")
     p_rand.add_argument("--seed", type=int, required=True)
     p_rand.add_argument("--radix", type=int, required=True)
     p_rand.add_argument("--count", type=int, required=True)
@@ -165,15 +158,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="pack a radix-2 stream as hex on one line")
     p_rand.set_defaults(func=_cmd_rand)
 
-    p_game = sub.add_parser("game", help="play one pick-a-group round")
-    p_game.add_argument("--key", required=True)
+    p_game = sub.add_parser("game", parents=[keyed], help="play one pick-a-group round")
     p_game.add_argument("--message", type=int, required=True)
     p_game.add_argument("--alice", type=int, required=True)
     p_game.add_argument("--bob", type=int, required=True)
     p_game.set_defaults(func=_cmd_game)
 
-    p_table = sub.add_parser("table", help="dump the full message-to-ciphertext mapping")
-    p_table.add_argument("--key", required=True)
+    p_table = sub.add_parser("table", parents=[keyed],
+                             help="dump the full message-to-ciphertext mapping")
     p_table.set_defaults(func=_cmd_table)
 
     return parser
@@ -190,7 +182,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.hex and args.radix != 2:
             parser.error("--hex requires --radix 2")
     try:
-        return args.func(args)
+        key = parse_key(_read_file(args.key)) if "key" in args else None
+        return args.func(args, key)
     except (CubeTagError, ValueError, OSError) as exc:
         print(f"cubetag: {exc}", file=sys.stderr)
         return 1

@@ -35,15 +35,7 @@ def partition_nine_roots(roots: UnityRootSet) -> RootGrouping:
     if len(roots) != 9:
         raise InvalidArgumentError(f"expected nine cube roots of 1, got {len(roots)}")
     n = roots.modulus
-    groups = []
-    remaining = set(roots.nontrivial())
-    while remaining:
-        x = min(remaining)
-        square = x * x % n
-        remaining.discard(x)
-        remaining.discard(square)
-        groups.append((1, x, square))
-    groups.sort(key=lambda triple: triple[1])
+    groups = sorted({(1, *sorted((x, x * x % n))) for x in roots.nontrivial()})
     return RootGrouping(modulus=n, groups=tuple(groups))
 
 
@@ -69,17 +61,10 @@ class GameRound:
     success: bool
 
 
-def _cosets(nine_roots: list[int], triple: tuple[int, int, int], n: int) -> list[list[int]]:
+def _cosets(nine_roots: list[int], triple: tuple[int, int, int], n: int) -> list[tuple[int, ...]]:
     """Split the 9 cube roots of some value into the 3 cosets of a triple,
-    ordered by smallest element."""
-    remaining = set(nine_roots)
-    cosets = []
-    while remaining:
-        rep = min(remaining)
-        coset = sorted(rep * u % n for u in triple)
-        remaining.difference_update(coset)
-        cosets.append(coset)
-    return cosets
+    each sorted, ordered by smallest element."""
+    return sorted({tuple(sorted(r * u % n for u in triple)) for r in nine_roots})
 
 
 def play_round(

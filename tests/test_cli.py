@@ -209,6 +209,25 @@ class TestFileBytes:
             assert err.startswith(f"cubetag: line {line}: ")
 
 
+class TestLineEnds:
+    """A file is read byte for byte: CRLF or CR line ends fail at line 1, as in the parsers."""
+
+    @pytest.mark.parametrize("ending", [b"\r\n", b"\r"])
+    def test_key_line_ends(self, keyfile77, tmp_path, capsys, ending):
+        bad = tmp_path / "line_ends.key"
+        bad.write_bytes(Path(keyfile77).read_bytes().replace(b"\n", ending))
+        code, out, err = run(capsys, "roots", "--key", str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith("cubetag: line 1: ")
+
+    def test_ciphertext_crlf(self, keyfile77, tmp_path, capsys):
+        bad = tmp_path / "crlf.ct"
+        bad.write_bytes(b"c=34\r\ntag=1\r\n")
+        code, out, err = run(capsys, "decrypt", "--key", keyfile77, "--in", str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith("cubetag: line 1: ")
+
+
 class TestRand:
     def test_first_bits(self, keyfile91, capsys):
         code, out, _ = run(capsys, "rand", "--key", keyfile91, "--seed", "2",
@@ -230,6 +249,12 @@ class TestRand:
         with pytest.raises(SystemExit) as info:
             main(["rand", "--key", keyfile91, "--seed", "2", "--radix", "1",
                   "--count", "3"])
+        assert info.value.code == 2
+
+    def test_negative_count_is_usage_error(self, keyfile91, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["rand", "--key", keyfile91, "--seed", "2", "--radix", "2",
+                  "--count", "-1"])
         assert info.value.code == 2
 
     def test_hex_requires_radix_two(self, keyfile91, capsys):

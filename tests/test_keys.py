@@ -197,6 +197,12 @@ class TestGenerateKey:
         with pytest.raises(ValueError):
             generate_key(KeyMode.CUBIC3_COMPOSITE, bits=7, seed=0)
 
+    def test_unsatisfiable_size_rejected(self):
+        # 13 is the only 4-bit prime with 3 | p-1 but not 9 | p-1, and the
+        # factors must differ, so no seed can succeed.
+        with pytest.raises(KeyGenerationError):
+            generate_key(KeyMode.CUBIC9_COMPOSITE, bits=8, seed=0)
+
     def test_q_without_p_rejected(self):
         with pytest.raises(ValueError):
             generate_key(KeyMode.CUBIC3_COMPOSITE, q=11)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cubetag import (
     CubeTagError,
+    InvalidArgumentError,
     NonResidueError,
     NotInvertibleError,
     crt_combine,
@@ -67,6 +68,10 @@ class TestModInverse:
         with pytest.raises(NotInvertibleError):
             mod_inverse(0, 7)
 
+    def test_negative_value_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            mod_inverse(-1, 7)
+
     @settings(max_examples=200, deadline=None)
     @given(a=st.integers(min_value=1, max_value=1 << 48),
            modulus=st.integers(min_value=2, max_value=1 << 48))
@@ -89,6 +94,10 @@ class TestCrtCombine:
     def test_not_coprime_rejected(self):
         with pytest.raises(ValueError):
             crt_combine(1, 1, 6, 9)
+
+    def test_modulus_below_two_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            crt_combine(0, 0, 1, 7)
 
     @pytest.mark.parametrize("p,q", [(3, 5), (7, 11), (7, 13), (97, 101)])
     def test_round_trip_exhaustive(self, p, q):
