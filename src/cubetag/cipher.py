@@ -23,6 +23,12 @@ from .errors import (
 from .keys import KeyMaterial, KeyMode, _decimal_field, _file_lines, _require_lines
 from .modular import crt_combine, kth_root_mod_prime
 
+__all__ = [
+    "TaggedCiphertext", "companion_table", "cube_root_by_exponent", "decrypt",
+    "decrypt_candidates", "encrypt", "kth_root", "parse_ciphertext",
+    "serialize_ciphertext",
+]
+
 # Largest modulus companion_table will sweep; the table is exhaustive by design.
 _TABLE_LIMIT = 1_000_000
 

@@ -19,11 +19,11 @@ from .cipher import (
     parse_ciphertext,
     serialize_ciphertext,
 )
-from .errors import CubeTagError, InvalidArgumentError
+from .errors import CubeTagError
 from .events import play_round
 from .keys import KeyMaterial, KeyMode, generate_key, parse_key, serialize_key
 from .prng import digit_stream, pack_bits_hex
-from .roots import cube_roots_of_unity_composite, square_roots_of_unity_composite
+from .roots import _unity_roots
 
 _MODE_NAMES = {
     "cubic3-prime": KeyMode.CUBIC3_PRIME,
@@ -57,14 +57,8 @@ def _cmd_keygen(args: argparse.Namespace, _key: None) -> int:
 def _cmd_roots(args: argparse.Namespace, key: KeyMaterial) -> int:
     if args.order in (None, key.mode.exponent):
         root_set = key.roots
-    else:
-        # Cross-order query: recompute from the factors.
-        factors = key.factors
-        if len(factors) != 2:
-            raise InvalidArgumentError(f"order-{args.order} roots need a composite private key")
-        derive = (square_roots_of_unity_composite if args.order == 2
-                  else cube_roots_of_unity_composite)
-        root_set = derive(*factors)
+    else:  # cross-order query: recompute from the factors
+        root_set = _unity_roots(args.order, key.factors)
     for root in root_set:
         print(root)
     return 0

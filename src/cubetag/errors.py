@@ -7,6 +7,12 @@ exist where callers need to distinguish the failure, e.g. a failed inversion
 modulo a composite reveals a factor.
 """
 
+__all__ = [
+    "CubeTagError", "InvalidArgumentError", "InvalidCiphertextError",
+    "InvalidMessageError", "KeyFileError", "KeyGenerationError", "NonResidueError",
+    "NotInvertibleError", "PrivateKeyRequiredError", "TagRangeError",
+]
+
 
 class CubeTagError(Exception):
     """Base class for all package-specific errors."""

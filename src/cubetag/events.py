@@ -17,6 +17,8 @@ from .errors import InvalidArgumentError
 from .keys import KeyMaterial
 from .roots import UnityRootSet
 
+__all__ = ["GameRound", "RootGrouping", "partition_nine_roots", "play_round"]
+
 
 @dataclass(frozen=True)
 class RootGrouping:

@@ -31,12 +31,11 @@ from typing import Callable
 
 from .errors import InvalidArgumentError, KeyFileError, KeyGenerationError, PrivateKeyRequiredError
 from .modular import _ProvenPrime, is_probable_prime
-from .roots import (
-    UnityRootSet,
-    cube_roots_of_unity_composite,
-    cube_roots_of_unity_prime,
-    square_roots_of_unity_composite,
-)
+from .roots import UnityRootSet, _unity_roots
+
+__all__ = [
+    "KeyMaterial", "KeyMode", "generate_key", "key_from_factors", "parse_key", "serialize_key",
+]
 
 _MAX_PRIME_TRIES_PER_BIT = 256
 
@@ -155,12 +154,7 @@ def key_from_factors(mode: KeyMode, p: int, q: int | None = None) -> KeyMaterial
     phi = math.prod(f - 1 for f in factors)
     if not spec.constraint(p, phi):
         raise KeyGenerationError(f"{mode.value} needs {spec.requirement}; p={p}, phi={phi} fails")
-    if spec.exponent == 2:
-        root_set = square_roots_of_unity_composite(p, q)
-    elif q is None:
-        root_set = cube_roots_of_unity_prime(p)
-    else:
-        root_set = cube_roots_of_unity_composite(p, q)
+    root_set = _unity_roots(spec.exponent, factors)
     alpha = root_set.smallest_nontrivial if "alpha" in spec.private_fields else None
     return KeyMaterial(mode=mode, n=math.prod(factors), p=p, q=q, alpha=alpha, unity_roots=root_set)
 

@@ -12,6 +12,8 @@ import random
 
 from .errors import InvalidArgumentError, NonResidueError, NotInvertibleError
 
+__all__ = ["crt_combine", "is_probable_prime", "kth_root_mod_prime", "mod_inverse"]
+
 # Deterministic Miller-Rabin witnesses: the first 13 primes decide primality
 # for every n below this bound (Sorenson & Webster).
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981

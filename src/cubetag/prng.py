@@ -18,11 +18,17 @@ from dataclasses import dataclass
 from .errors import InvalidArgumentError
 from .keys import KeyMaterial
 
+__all__ = ["PrngState", "digit_stream", "pack_bits_hex", "prng_init", "prng_next"]
+
 
 @dataclass(frozen=True)
 class PrngState:
     n: int
     s: int
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise InvalidArgumentError(f"modulus must be >= 2, got {self.n}")
 
 
 def prng_init(key: KeyMaterial, seed: int) -> PrngState:

@@ -5,7 +5,8 @@ mod a prime, the powers of one primitive root of unity (no square root is
 taken); mod p*q, every pair of per-prime roots joined by CRT. Root sets are
 always returned in ascending order, which is the shared canonical ordering
 the rank tags rely on; the set sizes that occur here are 1 or 3 modulo a
-prime and 1, 3, 4 or 9 modulo p*q.
+prime and 1, 3, 4 or 9 modulo p*q. ``_unity_roots`` is the one place an
+order and a factor count pick the routine that builds a set.
 """
 
 from __future__ import annotations
@@ -14,6 +15,11 @@ from dataclasses import dataclass
 
 from .errors import InvalidArgumentError
 from .modular import _primitive_unity_root, crt_combine, is_probable_prime
+
+__all__ = [
+    "UnityRootSet", "cube_roots_of_unity_composite", "cube_roots_of_unity_prime",
+    "square_roots_of_unity_composite",
+]
 
 
 @dataclass(frozen=True)
@@ -29,8 +35,11 @@ class UnityRootSet:
             raise InvalidArgumentError(f"modulus must be >= 2, got {self.modulus}")
         if self.order not in (2, 3):
             raise InvalidArgumentError(f"unsupported root order {self.order}")
-        if list(self.roots) != sorted(set(self.roots)) or 1 not in self.roots:
-            raise InvalidArgumentError("roots must be ascending, unique, and contain 1")
+        if (list(self.roots) != sorted(set(self.roots)) or self.roots[:1] != (1,)
+                or self.roots[-1] >= self.modulus):
+            raise InvalidArgumentError(
+                "roots must be ascending, unique, start at 1 and lie below the modulus"
+            )
         for u in self.roots:
             if pow(u, self.order, self.modulus) != 1:
                 raise InvalidArgumentError(
@@ -91,3 +100,17 @@ def square_roots_of_unity_composite(p: int, q: int) -> UnityRootSet:
     _require_odd_prime(p)
     _require_odd_prime(q)
     return _garner_product(2, p, q, (1, p - 1), (1, q - 1))
+
+
+def _unity_roots(order: int, factors: tuple[int, ...]) -> UnityRootSet:
+    """The roots of 1 of this order modulo the product of one or two prime factors.
+
+    The routines are looked up as module globals at call time, so a wrapper
+    installed on them sees every call made through here.
+    """
+    if len(factors) == 1 and order == 3:
+        return cube_roots_of_unity_prime(*factors)
+    if len(factors) == 2 and order in (2, 3):
+        derive = square_roots_of_unity_composite if order == 2 else cube_roots_of_unity_composite
+        return derive(*factors)
+    raise InvalidArgumentError(f"order-{order} roots need a composite private key")

@@ -1,6 +1,18 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import cubetag
 from cubetag import KeyMode, generate_key
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _child_pythonpath():
+    """Child interpreters (``python -m cubetag``) import the package under test."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", str(Path(cubetag.__file__).parent.parent), prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture(scope="session")

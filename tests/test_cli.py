@@ -1,3 +1,4 @@
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -105,6 +106,12 @@ class TestRoots:
     def test_order_two_on_cubic_key(self, keyfile77, capsys):
         code, out, _ = run(capsys, "roots", "--key", keyfile77, "--order", "2")
         assert code == 0 and out == "1\n34\n43\n76\n"
+
+    def test_order_three_on_square_key(self, tmp_path, capsys):
+        path = str(tmp_path / "s77.key")
+        run(capsys, "keygen", "--mode", "square", "--p", "7", "--q", "11", "--out", path)
+        code, out, _ = run(capsys, "roots", "--key", path, "--order", "3")
+        assert code == 0 and out == "1\n23\n67\n"
 
     def test_order_two_on_prime_key_fails(self, keyfile31, capsys):
         code, _, err = run(capsys, "roots", "--key", keyfile31, "--order", "2")
@@ -338,3 +345,11 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("cubetag ")
+
+    def test_module_entry_point_in_process(self, monkeypatch, capsys):
+        # what python -m cubetag runs, in this interpreter so a line trace sees it
+        monkeypatch.setattr(sys, "argv", ["cubetag", "--version"])
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("cubetag", run_name="__main__")
+        assert info.value.code == 0
+        assert capsys.readouterr().out == "cubetag 0.1.0\n"

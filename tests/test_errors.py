@@ -6,11 +6,13 @@ from cubetag import (
     CubeTagError,
     InvalidArgumentError,
     KeyMode,
+    PrngState,
     UnityRootSet,
     cube_root_by_exponent,
     digit_stream,
     key_from_factors,
     play_round,
+    prng_next,
 )
 
 
@@ -22,6 +24,7 @@ def test_invalid_arguments_are_typed(key77, key91):
         lambda: key_from_factors(KeyMode.CUBIC3_COMPOSITE, 7, 9),  # 9 is not prime
         lambda: play_round(key77, 2, 1, 1),  # three roots, the game needs nine
         lambda: UnityRootSet(0, 3, (1,)),  # modulus below 2
+        lambda: prng_next(PrngState(0, 2)),  # modulus below 2
     )
     for probe in probes:
         with pytest.raises(CubeTagError) as info:

@@ -143,6 +143,15 @@ class TestUnityRootSetValidation:
         with pytest.raises(InvalidArgumentError):
             UnityRootSet(0, 3, (1,))
 
+    def test_residue_at_or_above_modulus_rejected(self):
+        # 8 = 1 mod 7, so only the canonical range check catches it
+        with pytest.raises(InvalidArgumentError):
+            UnityRootSet(7, 3, (1, 8))
+
+    def test_negative_residue_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            UnityRootSet(7, 3, (-6, 1))
+
     def test_smallest_nontrivial(self):
         assert cube_roots_of_unity_composite(7, 11).smallest_nontrivial == 23
         assert cube_roots_of_unity_prime(11).smallest_nontrivial is None
