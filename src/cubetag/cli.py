@@ -21,7 +21,7 @@ from .cipher import (
 )
 from .errors import CubeTagError
 from .events import play_round
-from .keys import KeyMaterial, KeyMode, generate_key, parse_key, serialize_key
+from .keys import _MAX_FILE_CHARS, KeyMaterial, KeyMode, generate_key, parse_key, serialize_key
 from .prng import digit_stream, pack_bits_hex
 from .roots import _unity_roots
 
@@ -34,10 +34,10 @@ _MODE_NAMES = {
 
 
 def _read_file(path: str) -> str:
-    """A key or ciphertext file's text, byte for byte: a CR, or a byte outside
-    ASCII (kept as a lone surrogate), reaches the parser, which names its line."""
+    """A file's text, byte for byte, to one character past the longest the formats allow:
+    the parser names the line of a CR, a non-ASCII byte (a lone surrogate), or the excess."""
     with open(path, "r", encoding="ascii", errors="surrogateescape", newline="") as handle:
-        return handle.read()
+        return handle.read(_MAX_FILE_CHARS + 1)
 
 
 def _write_text(path: str, text: str) -> None:

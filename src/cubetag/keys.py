@@ -31,7 +31,7 @@ from typing import Callable
 
 from .errors import InvalidArgumentError, KeyFileError, KeyGenerationError, PrivateKeyRequiredError
 from .modular import _ProvenPrime, is_probable_prime
-from .roots import UnityRootSet, _unity_roots
+from .roots import UnityRootSet, _require_odd_prime, _unity_roots
 
 __all__ = [
     "KeyMaterial", "KeyMode", "generate_key", "key_from_factors", "parse_key", "serialize_key",
@@ -42,6 +42,8 @@ _MAX_PRIME_TRIES_PER_BIT = 256
 # Canonical ASCII decimal: no sign, no leading zero, at most 4300 digits
 # (Python's default int/str conversion limit).
 _DECIMAL = re.compile(r"0|[1-9][0-9]{0,4299}")
+# The longest file the formats allow: six lines, none longer than alpha=<4300 digits>.
+_MAX_FILE_CHARS = 6 * (len("alpha=") + 4300 + 1)
 
 
 class KeyMode(enum.Enum):
@@ -131,8 +133,8 @@ class KeyMaterial:
 
 
 def key_from_factors(mode: KeyMode, p: int, q: int | None = None) -> KeyMaterial:
-    """Assemble full key material from explicit factors, checking the mode's
-    divisibility constraints.
+    """Assemble full key material from explicit factors, checking cheapest first:
+    the factor count, distinctness, each factor's primality, the mode's constraint.
 
     Each factor is tested for primality once, here (40 random Miller-Rabin
     rounds above ~3.3e24), and stored as a proven prime, so the root routines
@@ -144,18 +146,17 @@ def key_from_factors(mode: KeyMode, p: int, q: int | None = None) -> KeyMaterial
         raise InvalidArgumentError(
             f"{mode.value} takes {len(spec.shapes)} factor(s), got {len(factors)}"
         )
-    for factor in factors:
-        if factor < 3 or factor % 2 == 0 or not is_probable_prime(factor):
-            raise InvalidArgumentError(f"factors must be odd primes; {factor} is not")
-    factors = tuple(map(_ProvenPrime, factors))
-    p, q = factors if len(factors) == 2 else (factors[0], None)
     if p == q:
         raise InvalidArgumentError("factors must be distinct")
+    for factor in factors:
+        _require_odd_prime(factor)
+    factors = tuple(map(_ProvenPrime, factors))
+    p, q = factors if len(factors) == 2 else (factors[0], None)
     phi = math.prod(f - 1 for f in factors)
     if not spec.constraint(p, phi):
         raise KeyGenerationError(f"{mode.value} needs {spec.requirement}; p={p}, phi={phi} fails")
     root_set = _unity_roots(spec.exponent, factors)
-    alpha = root_set.smallest_nontrivial if "alpha" in spec.private_fields else None
+    alpha = root_set.roots[1] if "alpha" in spec.private_fields else None
     return KeyMaterial(mode=mode, n=math.prod(factors), p=p, q=q, alpha=alpha, unity_roots=root_set)
 
 
@@ -204,6 +205,9 @@ def _file_lines(text: str) -> list[str]:
     """The lines of a key or ciphertext file, whose last line must end in LF."""
     if not text:
         raise KeyFileError("empty file")
+    if len(text) > _MAX_FILE_CHARS:
+        raise KeyFileError(f"file longer than {_MAX_FILE_CHARS} characters",
+                           line=text.count("\n", 0, _MAX_FILE_CHARS) + 1)
     if not text.endswith("\n"):
         raise KeyFileError("missing final line feed", line=text.count("\n") + 1)
     return text[:-1].split("\n")
@@ -242,10 +246,10 @@ def parse_key(text: str) -> KeyMaterial:
     """Parse a key file: two lines (mode, n) for a public key, else a private
     file that must read exactly as serialize_key writes the key its factors give.
 
-    Only the mode, n, the factor lines and alpha are read. The key is rebuilt
-    with key_from_factors, keeping the file's alpha when it is a nontrivial
-    root of 1, and every other field is checked by that comparison. Raises
-    KeyFileError naming the first line at fault.
+    Only the mode, n, the factor lines and alpha are read. n is compared with the
+    factors' product before any primality test, then key_from_factors rebuilds the
+    key, keeping the file's alpha when it is a nontrivial root of 1; every other
+    field is checked by that comparison. Raises KeyFileError naming the first line at fault.
     """
     lines = _file_lines(text)
     mode = next((m for m in KeyMode if lines[0] == f"mode={m.value}"), None)
@@ -259,7 +263,8 @@ def parse_key(text: str) -> KeyMaterial:
 
     fields = _MODES[mode].private_fields
     factors = [_decimal_field(lines, 2 + i, f) for i, f in enumerate(fields) if f in ("p", "q")]
-    try:
+    try:  # a product past the int/str limit fails here, as invalid key material
+        _require_lines(lines[:2], serialize_key(KeyMaterial(mode, math.prod(factors or [n]))))
         key = key_from_factors(mode, *(factors or [n]))
     except (ValueError, KeyGenerationError) as exc:
         # name the p= line, or n= in prime mode where n is the factor

@@ -55,11 +55,6 @@ class UnityRootSet:
     def nontrivial(self) -> tuple[int, ...]:
         return self.roots[1:]
 
-    @property
-    def smallest_nontrivial(self) -> int | None:
-        """Agreed multiplier for 3-root protocols: the smallest root above 1."""
-        return self.roots[1] if len(self.roots) > 1 else None
-
 
 def _require_odd_prime(p: int) -> None:
     if p < 3 or p % 2 == 0 or not is_probable_prime(p):
@@ -68,8 +63,6 @@ def _require_odd_prime(p: int) -> None:
 
 def _garner_product(k: int, p: int, q: int, roots_p: tuple, roots_q: tuple) -> UnityRootSet:
     """The k-th roots of 1 mod p*q: every pair of per-prime roots, joined by CRT."""
-    if p == q:
-        raise InvalidArgumentError("factors must be distinct")
     combined = sorted(crt_combine(rp, rq, p, q) for rp in roots_p for rq in roots_q)
     return UnityRootSet(p * q, k, tuple(combined))
 

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from cubetag.cli import main
+from cubetag.cli import _read_file, main
+from cubetag.keys import _MAX_FILE_CHARS
 
 TABLE_31_TEXT = (
     "1 5 25 -> 1\n"
@@ -233,6 +234,21 @@ class TestLineEnds:
         code, out, err = run(capsys, "decrypt", "--key", keyfile77, "--in", str(bad))
         assert (code, out) == (1, "")
         assert err.startswith("cubetag: line 1: ")
+
+
+class TestFileLength:
+    """A file is read to one character past the longest the formats allow, then refused."""
+
+    def test_overlong_files(self, keyfile77, tmp_path, capsys):
+        key, ct = tmp_path / "long.key", tmp_path / "long.ct"
+        key.write_text(f"mode=CUBIC3_COMPOSITE\nn={'7' * 30000}\n")
+        ct.write_text(f"c={'7' * 30000}\ntag=1\n")
+        for argv, line in ((["roots", "--key", str(key)], 2),
+                           (["decrypt", "--key", keyfile77, "--in", str(ct)], 1)):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err == f"cubetag: line {line}: file longer than {_MAX_FILE_CHARS} characters\n"
+        assert len(_read_file(str(key))) == _MAX_FILE_CHARS + 1
 
 
 class TestRand:

@@ -21,6 +21,7 @@ from cubetag import (
     serialize_key,
     square_roots_of_unity_composite,
 )
+from cubetag.keys import _MAX_FILE_CHARS
 from oracles import sieve
 
 
@@ -293,6 +294,8 @@ class TestKeyFiles:
             (serialize_key(key77).replace("CUBIC3", "CUBIC9"), 3),
             (serialize_key(key77).replace("p=7\nq=11", "p=1\nq=77"), 3),
             ("mode=CUBIC3_PRIME\nn=77\nphi=60\nalpha=23\n", 2),
+            # a product too long to print as n= cannot be n
+            (f"mode=CUBIC3_COMPOSITE\nn=77\np={'7' * 3000}\nq={'9' * 3000}\nphi=1\nalpha=2\n", 3),
         ):
             with pytest.raises(KeyFileError) as info:
                 parse_key(text)
@@ -310,6 +313,17 @@ class TestKeyFiles:
         parsed = parse_key(text)
         assert parsed.alpha == 67
         assert serialize_key(parsed) == text
+
+    def test_overlong_file_rejected(self):
+        # the line where the limit is crossed is named
+        text = "mode=CUBIC3_COMPOSITE\nn=" + "7" * (_MAX_FILE_CHARS - 25) + "\n"
+        with pytest.raises(KeyFileError, match="expected n=") as info:
+            parse_key(text)
+        assert (len(text), info.value.line) == (_MAX_FILE_CHARS, 2)
+        for longer, line in ((text + "\n", 3), ("\n" * 3 + text, 5)):
+            with pytest.raises(KeyFileError, match=f"longer than {_MAX_FILE_CHARS} ") as info:
+                parse_key(longer)
+            assert info.value.line == line
 
     def test_truncated_private_section_rejected(self, key77):
         lines = serialize_key(key77).splitlines(keepends=True)
@@ -393,6 +407,28 @@ class TestPrimalityTestedOnce:
             assert len(capsys.readouterr().out.split()) == (4 if order == "2" else 3)
             # the 2 x 40 witnesses of loading the key, none for the roots
             assert len(witness_draws) == 80
+
+
+class TestCheapChecksFirst:
+    """A wrong n or an equal factor pair is refused before any primality test."""
+
+    def test_wrong_modulus_costs_no_prime_test(self, keys256, witness_draws):
+        for mode, key in keys256.items():
+            if mode is KeyMode.CUBIC3_PRIME:  # n is the factor there
+                continue
+            text = serialize_key(key).replace(f"n={key.n}\n", f"n={key.n + 2}\n")
+            with pytest.raises(KeyFileError, match="expected 'n=") as info:
+                parse_key(text)
+            assert info.value.line == 2, mode
+        assert witness_draws == []
+
+    def test_equal_factors_cost_no_prime_test(self, keys256, witness_draws):
+        p = keys256[KeyMode.CUBIC3_COMPOSITE].p
+        text = f"mode=CUBIC3_COMPOSITE\nn={p * p}\np={p}\nq={p}\nphi={(p - 1) ** 2}\nalpha=2\n"
+        with pytest.raises(KeyFileError, match="distinct") as info:
+            parse_key(text)
+        assert info.value.line == 3
+        assert witness_draws == []
 
 
 class TestNonPrimeFactorsRejected:

@@ -2,9 +2,11 @@ import pytest
 
 from cubetag import (
     InvalidArgumentError,
+    KeyMode,
     UnityRootSet,
     cube_roots_of_unity_composite,
     cube_roots_of_unity_prime,
+    key_from_factors,
     square_roots_of_unity_composite,
 )
 from oracles import kth_roots_of_unity, sieve
@@ -153,8 +155,10 @@ class TestUnityRootSetValidation:
             UnityRootSet(7, 3, (-6, 1))
 
     def test_smallest_nontrivial(self):
-        assert cube_roots_of_unity_composite(7, 11).smallest_nontrivial == 23
-        assert cube_roots_of_unity_prime(11).smallest_nontrivial is None
+        # a key's alpha is the smallest root above 1; a bijective prime has none
+        assert cube_roots_of_unity_composite(7, 11).roots[1] == 23
+        assert key_from_factors(KeyMode.CUBIC3_COMPOSITE, 7, 11).alpha == 23
+        assert cube_roots_of_unity_prime(11).roots == (1,)
 
 
 # 2048-bit primes cost ~1.5 s each in the primality test, so they run with the slow sweeps
