@@ -20,7 +20,7 @@ from .errors import (
     NonResidueError,
     TagRangeError,
 )
-from .keys import KeyMaterial, KeyMode, _decimal_field, _file_lines, _require_lines
+from .keys import KeyMaterial, KeyMode, _decimal_field, _decimal_lines, _file_lines, _require_lines
 from .modular import crt_combine, kth_root_mod_prime
 
 __all__ = [
@@ -120,7 +120,7 @@ def decrypt(ct: TaggedCiphertext, key: KeyMaterial) -> int:
 
 
 def serialize_ciphertext(ct: TaggedCiphertext) -> str:
-    return f"c={ct.c}\ntag={ct.tag}\n"
+    return _decimal_lines({"c": ct.c, "tag": ct.tag})
 
 
 def parse_ciphertext(text: str, mode: KeyMode) -> TaggedCiphertext:

@@ -45,11 +45,11 @@ def partition_nine_roots(roots: UnityRootSet) -> RootGrouping:
 class GameRound:
     """Transcript of one pick-a-group round.
 
-    The sender's triple generates a 3-element companion set; `coset` says
-    which of the three cosets of her triple (ordered by smallest element)
-    holds the message among the nine cube roots of the ciphertext, and `tag`
-    is the message's rank inside that coset. The receiver rebuilds the nine
-    roots, splits them by HIS triple, and reads coset/tag off his split.
+    The sender's triple generates a 3-element companion set; `coset` says which
+    of the three cosets of the sender's triple (ordered by smallest element) holds
+    the message among the nine cube roots of the ciphertext, and `tag` is the
+    message's rank inside that coset. The receiver rebuilds the nine roots, splits
+    them by the receiver's triple, and reads coset/tag off the receiver's split.
     The round succeeds when the group choices match; a lucky mismatch can
     still reproduce the message but counts as a failure.
     """
@@ -72,17 +72,17 @@ def _cosets(nine_roots: list[int], triple: tuple[int, int, int], n: int) -> list
 def play_round(
     key: KeyMaterial, m: int, alice_choice: int, bob_choice: int
 ) -> GameRound:
-    """Run one round: Alice encrypts and tags with her triple, Bob decodes
-    with his; success iff the triple choices match (probability 1/4 under
-    uniform independent choices)."""
+    """Run one round: the sender (Alice) encrypts and tags with the sender's
+    triple, the receiver (Bob) decodes with the receiver's; success iff the
+    triple choices match (probability 1/4 under uniform independent choices)."""
     if not (1 <= alice_choice <= 4 and 1 <= bob_choice <= 4):
         raise InvalidArgumentError("group choices must be in [1, 4]")
     grouping = partition_nine_roots(key.roots)
     c = encrypt(m, key).c
     n = key.n
     # Every cube root of c is m times a root of unity, so both sides split
-    # the same nine values: the sender finds m's coset and rank under her
-    # triple, the receiver reads that slot off his split.
+    # the same nine values: the sender finds m's coset and rank under the
+    # sender's triple, the receiver reads that slot off the receiver's split.
     nine = decrypt_candidates(c, key)
     alice_cosets = _cosets(nine, grouping.groups[alice_choice - 1], n)
     coset_index = next(i for i, cs in enumerate(alice_cosets) if m in cs) + 1

@@ -39,11 +39,12 @@ __all__ = [
 
 _MAX_PRIME_TRIES_PER_BIT = 256
 
-# Canonical ASCII decimal: no sign, no leading zero, at most 4300 digits
-# (Python's default int/str conversion limit).
-_DECIMAL = re.compile(r"0|[1-9][0-9]{0,4299}")
-# The longest file the formats allow: six lines, none longer than alpha=<4300 digits>.
-_MAX_FILE_CHARS = 6 * (len("alpha=") + 4300 + 1)
+# Canonical ASCII decimal: no sign, no leading zero, at most 4300 digits (Python's default
+# int/str limit), so below _DECIMAL_BOUND. The longest file is six lines of alpha=<4300 digits>.
+_MAX_DIGITS = 4300
+_DECIMAL_BOUND = 10**_MAX_DIGITS
+_DECIMAL = re.compile(rf"0|[1-9][0-9]{{0,{_MAX_DIGITS - 1}}}")
+_MAX_FILE_CHARS = 6 * (len("alpha=") + _MAX_DIGITS + 1)
 
 
 class KeyMode(enum.Enum):
@@ -70,8 +71,8 @@ class _Mode:
 # c % 9 in (4, 7) is 3 || c-1: 3 divides c-1 but 9 does not. Exactly one
 # factor of a CUBIC3 key contributes the 3 (q-1 avoids it); CUBIC9 keygen
 # keeps both factors at 3 || p-1, the shape keys have always had, though
-# factors with 9 | p-1 are accepted. A prime-mode file implies p = n and so
-# carries no factor lines.
+# factors with 9 | p-1 are accepted. A prime-mode file's one factor is n, so it
+# carries no p= or q= line.
 _MODES = {
     KeyMode.CUBIC3_PRIME: _Mode(
         3, (lambda c: c % 9 in (4, 7) and c % 4 == 3,),
@@ -121,10 +122,8 @@ class KeyMaterial:
 
     @property
     def roots(self) -> UnityRootSet:
-        if self.unity_roots is None:
-            raise PrivateKeyRequiredError(
-                "operation needs the private key (unity roots are derived from the factors)"
-            )
+        """The k-th roots of 1 mod n, reached like every private part through ``factors``."""
+        self.factors  # the one gate: a public key raises PrivateKeyRequiredError here
         return self.unity_roots
 
     def public(self) -> "KeyMaterial":
@@ -234,22 +233,28 @@ def _require_lines(lines: list[str], serialized: str) -> None:
             raise KeyFileError(f"expected {expected}, got {found}", line=number)
 
 
+def _decimal_lines(fields: dict[str, int]) -> str:
+    """`name=value` lines, refusing a value that is no canonical decimal of the formats."""
+    if any(not 0 <= value < _DECIMAL_BOUND for value in fields.values()):
+        raise InvalidArgumentError(f"file values must be decimals of at most {_MAX_DIGITS} digits")
+    return "".join(f"{name}={value}\n" for name, value in fields.items())
+
+
 def serialize_key(key: KeyMaterial) -> str:
     """Render a key file; a public key (``key.public()``) gives only mode and n."""
-    lines = [f"mode={key.mode.value}", f"n={key.n}"]
-    if key.has_private:
-        lines += [f"{name}={getattr(key, name)}" for name in _MODES[key.mode].private_fields]
-    return "".join(line + "\n" for line in lines)
+    names = ("n", *_MODES[key.mode].private_fields) if key.has_private else ("n",)
+    return f"mode={key.mode.value}\n" + _decimal_lines({f: getattr(key, f) for f in names})
 
 
 def parse_key(text: str) -> KeyMaterial:
     """Parse a key file: two lines (mode, n) for a public key, else a private
     file that must read exactly as serialize_key writes the key its factors give.
 
-    Only the mode, n, the factor lines and alpha are read. n is compared with the
-    factors' product before any primality test, then key_from_factors rebuilds the
-    key, keeping the file's alpha when it is a nontrivial root of 1; every other
-    field is checked by that comparison. Raises KeyFileError naming the first line at fault.
+    Only mode, n, the factors and alpha are read; the factors are p= and q= (lines 3 and
+    4), or n= (line 2) in prime mode, the one-factor case. n is compared with their product
+    before any primality test, then key_from_factors rebuilds the key, keeping the file's
+    alpha when it is a nontrivial root of 1. KeyFileError names the first line at fault; for
+    invalid factors, that of the factor a primality check refused, else the first factor's.
     """
     lines = _file_lines(text)
     mode = next((m for m in KeyMode if lines[0] == f"mode={m.value}"), None)
@@ -261,16 +266,18 @@ def parse_key(text: str) -> KeyMaterial:
     if len(lines) == 2:
         return KeyMaterial(mode=mode, n=n)
 
-    fields = _MODES[mode].private_fields
-    factors = [_decimal_field(lines, 2 + i, f) for i, f in enumerate(fields) if f in ("p", "q")]
-    try:  # a product past the int/str limit fails here, as invalid key material
-        _require_lines(lines[:2], serialize_key(KeyMaterial(mode, math.prod(factors or [n]))))
-        key = key_from_factors(mode, *(factors or [n]))
+    spec = _MODES[mode]  # the factors: the last of the n, p, q lines, one per factor
+    names = ("mode", "n", *spec.private_fields)
+    at = [i for i, name in enumerate(names) if name in ("n", "p", "q")][-len(spec.shapes):]
+    factors = [_decimal_field(lines, i, names[i]) for i in at]
+    try:  # a product too long for the n= line fails here, as invalid key material
+        _require_lines(lines[:2], serialize_key(KeyMaterial(mode, math.prod(factors))))
+        key = key_from_factors(mode, *factors)
     except (ValueError, KeyGenerationError) as exc:
-        # name the p= line, or n= in prime mode where n is the factor
-        raise KeyFileError(f"invalid key material: {exc}", line=3 if factors else 2) from exc
+        refused = (i for i, f in zip(at, factors) if str(exc) == f"{f} is not an odd prime")
+        raise KeyFileError(f"invalid key material: {exc}", line=next(refused, at[0]) + 1) from exc
     # The agreed alpha need not be the smallest nontrivial root; keep the file's choice.
-    agreed = dict(zip(fields, lines[2:])).get("alpha")
+    agreed = dict(zip(names, lines)).get("alpha")
     key = next(
         (replace(key, alpha=u) for u in key.roots.nontrivial() if agreed == f"alpha={u}"), key
     )

@@ -31,8 +31,6 @@ class UnityRootSet:
     roots: tuple[int, ...]
 
     def __post_init__(self):
-        if self.modulus < 2:
-            raise InvalidArgumentError(f"modulus must be >= 2, got {self.modulus}")
         if self.order not in (2, 3):
             raise InvalidArgumentError(f"unsupported root order {self.order}")
         if (list(self.roots) != sorted(set(self.roots)) or self.roots[:1] != (1,)

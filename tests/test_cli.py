@@ -197,6 +197,22 @@ class TestEncryptDecrypt:
             assert code == 0 and out == f"{m}\n"
 
 
+class TestPublicKeyFile:
+    @pytest.mark.parametrize("fixture", ["keyfile31", "keyfile77", "keyfile91"])
+    def test_every_private_operation_prints_one_message(self, fixture, request, tmp_path, capsys):
+        keyfile = request.getfixturevalue(fixture)
+        ct = tmp_path / "m.ct"
+        assert run(capsys, "encrypt", "--key", keyfile, "--message", "12", "--out", str(ct))[0] == 0
+        for argv in (
+            ("roots",), ("roots", "--order", "2"), ("roots", "--order", "3"),
+            ("encrypt", "--message", "12"), ("decrypt", "--in", str(ct)),
+            ("rand", "--seed", "3", "--radix", "2", "--count", "8"),
+            ("game", "--message", "12", "--alice", "1", "--bob", "1"), ("table",),
+        ):
+            assert run(capsys, argv[0], "--key", keyfile + ".pub", *argv[1:]) == (
+                1, "", "cubetag: operation needs the private key (the factors of n)\n"), argv
+
+
 class TestFileBytes:
     """A byte outside ASCII in a key or ciphertext file is a KeyFileError naming its line."""
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -11,13 +12,16 @@ from cubetag import (
     KeyMaterial,
     KeyMode,
     PrivateKeyRequiredError,
+    TaggedCiphertext,
     cli,
     cube_roots_of_unity_composite,
     cube_roots_of_unity_prime,
     generate_key,
     is_probable_prime,
     key_from_factors,
+    parse_ciphertext,
     parse_key,
+    serialize_ciphertext,
     serialize_key,
     square_roots_of_unity_composite,
 )
@@ -301,6 +305,25 @@ class TestKeyFiles:
                 parse_key(text)
             assert info.value.line == line
 
+    def test_non_prime_factor_names_its_line(self):
+        # the factor the primality check refuses is named: p= on line 3, q= on
+        # line 4, or n= on line 2 in prime mode, where n is the one factor
+        for text, line in (
+            ("mode=CUBIC3_COMPOSITE\nn=147\np=7\nq=21\nphi=120\nalpha=2\n", 4),
+            ("mode=CUBIC3_COMPOSITE\nn=147\np=21\nq=7\nphi=120\nalpha=2\n", 3),
+            ("mode=CUBIC3_PRIME\nn=21\nphi=20\nalpha=2\n", 2),
+        ):
+            with pytest.raises(KeyFileError, match="21 is not an odd prime") as info:
+                parse_key(text)
+            assert info.value.line == line
+
+    def test_public_modulus_below_two_rejected(self):
+        for mode in ("CUBIC3_PRIME", "CUBIC3_COMPOSITE"):
+            for n in (0, 1):
+                with pytest.raises(KeyFileError, match=f"modulus {n} out of range") as info:
+                    parse_key(f"mode={mode}\nn={n}\n")
+                assert info.value.line == 2
+
     def test_tampered_alpha_rejected(self, key77):
         # 24 is no cube root of 1 mod 77; 1 is one, but the trivial one
         for alpha in ("24", "1", "023"):
@@ -333,9 +356,13 @@ class TestKeyFiles:
 
     def test_public_material_access_guard(self, key91):
         public = key91.public()
+        messages = set()
         for name in ("roots", "factors", "phi"):
-            with pytest.raises(PrivateKeyRequiredError):
+            with pytest.raises(PrivateKeyRequiredError) as info:
                 getattr(public, name)
+            messages.add(str(info.value))
+        # one gate to the private part, so one message
+        assert messages == {"operation needs the private key (the factors of n)"}
 
     def test_factors(self, key31, key77):
         assert key31.factors == (31,)
@@ -470,3 +497,43 @@ class TestNonPrimeFactorsRejected:
             assert type(key.n) is int and type(key.phi) is int
         key = keys256[KeyMode.CUBIC3_COMPOSITE]
         assert not is_probable_prime(key.p * key.q)
+
+
+@pytest.fixture(params=[0, 4300], ids=["unlimited", "default-limit"])
+def int_str_limit(request):
+    """Run under no int/str conversion limit, then under Python's default one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str conversion limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(request.param)
+    yield request.param
+    sys.set_int_max_str_digits(saved)
+
+
+class TestSerializersRefuseWhatParsersRefuse:
+    """A value no canonical decimal of the formats holds is refused on write,
+    whatever the interpreter's int/str limit, so every written file parses."""
+
+    WIDEST = 10**4300 - 1
+
+    def test_key_values(self, int_str_limit):
+        text = serialize_key(KeyMaterial(KeyMode.CUBIC3_COMPOSITE, n=self.WIDEST))
+        assert parse_key(text).n == self.WIDEST
+        for n in (self.WIDEST + 1, -77):
+            with pytest.raises(InvalidArgumentError, match="at most 4300 digits"):
+                serialize_key(KeyMaterial(KeyMode.CUBIC3_COMPOSITE, n=n))
+
+    def test_ciphertext_values(self, int_str_limit):
+        mode = KeyMode.CUBIC9_COMPOSITE
+        ct = TaggedCiphertext(c=self.WIDEST, tag=self.WIDEST, mode=mode)
+        assert parse_ciphertext(serialize_ciphertext(ct), mode) == ct
+        for c, tag in ((self.WIDEST + 1, 1), (83, self.WIDEST + 1), (-83, 1)):
+            with pytest.raises(InvalidArgumentError, match="at most 4300 digits"):
+                serialize_ciphertext(TaggedCiphertext(c=c, tag=tag, mode=mode))
+
+    def test_overlong_product_names_first_factor(self, int_str_limit):
+        # the product of two 3000-digit factors cannot be the n= line
+        text = f"mode=CUBIC3_COMPOSITE\nn=77\np={'7' * 3000}\nq={'9' * 3000}\nphi=1\nalpha=2\n"
+        with pytest.raises(KeyFileError, match="at most 4300 digits") as info:
+            parse_key(text)
+        assert info.value.line == 3
