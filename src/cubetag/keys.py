@@ -11,11 +11,11 @@ them, the ``.pub`` variant only the mode and modulus. ``KeyMaterial.factors``
 is the one gate to the private part. A file is read back by rebuilding the
 key from its factors and requiring ``serialize_key`` to reproduce it.
 
-Proving the factors prime is the bulk of loading a key. ``key_from_factors``
-tests each factor once and keeps it as a proven prime, which every later
-primality guard accepts without a test; a factor read from a file is
-untrusted and gets that one test, a factor from ``generate_key`` arrives
-proven by its own search.
+Proving the factors prime (Baillie-PSW above ~3.3e24) is the bulk of loading
+a key. ``key_from_factors`` tests each factor once and keeps it as a proven
+prime, which every later primality guard accepts without a test; a factor
+read from a file is untrusted and gets that one test, a factor from
+``generate_key`` arrives proven by its own search.
 """
 
 from __future__ import annotations
@@ -104,6 +104,12 @@ class KeyMaterial:
     alpha: int | None = None
     unity_roots: UnityRootSet | None = field(default=None, repr=False)
 
+    def __post_init__(self):
+        if self.p is not None and self.unity_roots is None:
+            raise InvalidArgumentError(
+                "a private key needs the unity roots its factors give; build it with key_from_factors"
+            )
+
     @property
     def has_private(self) -> bool:
         return self.p is not None
@@ -135,9 +141,10 @@ def key_from_factors(mode: KeyMode, p: int, q: int | None = None) -> KeyMaterial
     """Assemble full key material from explicit factors, checking cheapest first:
     the factor count, distinctness, each factor's primality, the mode's constraint.
 
-    Each factor is tested for primality once, here (40 random Miller-Rabin
-    rounds above ~3.3e24), and stored as a proven prime, so the root routines
-    below, and a later key_from_factors given this key's p and q, skip the test.
+    Each factor is tested for primality once, here (Baillie-PSW above
+    ~3.3e24, which draws no random witnesses), and stored as a proven prime, so
+    the root routines below, and a later key_from_factors given this key's p
+    and q, skip the test.
     """
     spec = _MODES[mode]
     factors = (p,) if q is None else (p, q)

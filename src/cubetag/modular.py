@@ -7,6 +7,7 @@ safe for concurrent use.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -18,8 +19,12 @@ __all__ = ["crt_combine", "is_probable_prime", "kth_root_mod_prime", "mod_invers
 # for every n below this bound (Sorenson & Webster).
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# Random witnesses above that bound: a false-positive rate below 4**-40.
+# Witnesses key generation draws from its seeded RNG per candidate above that
+# bound and does not use: drawing them keeps each seed's RNG stream, and so
+# the keys every seed has always generated.
 _MR_ROUNDS = 40
+# Key generation also screens candidates by a gcd with the odd primes below this.
+_SCREEN_LIMIT = 1 << 16
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -121,13 +126,100 @@ class _ProvenPrime(int):
     __slots__ = ()
 
 
-def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
-    """Miller-Rabin primality test with small-prime trial division first.
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Miller-Rabin round: is odd n > 2 a strong probable prime to base a?"""
+    s = ((n - 1) & -(n - 1)).bit_length() - 1  # n - 1 = d * 2**s, d odd
+    x = pow(a, (n - 1) >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
 
-    Deterministic (fixed witness set) for n below ~3.3e24; above that bound
-    _MR_ROUNDS random witnesses are drawn from ``rng`` (a fresh system RNG by
-    default). A ``_ProvenPrime`` has passed this test already and returns True
-    at once; any other int is tested in full.
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0: 1, -1, or 0 when gcd(a, n) > 1."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of odd n > 2, Selfridge's method A:
+    the first D in 5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D)/4.
+
+    With n + 1 = d * 2**s, d odd, n passes when U_d = 0 or V_(d*2**r) = 0
+    mod n for some 0 <= r < s.
+    """
+    if math.isqrt(n) ** 2 == n:  # no D would have (D/n) = -1
+        return False
+    D = 5
+    while (symbol := _jacobi(D, n)) != -1:
+        if symbol == 0 and abs(D) != n:  # n shares a factor with D, so is composite
+            return False
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = d * 2**s, d odd
+    d = (n + 1) >> s
+    u, v, q_k = 1, 1, Q % n  # U_k, V_k, Q**k for k = 1, the top bit of d
+    for bit in bin(d)[3:]:
+        u, v, q_k = u * v % n, (v * v - 2 * q_k) % n, q_k * q_k % n  # k -> 2k
+        if bit == "1":  # k -> k + 1: U = (U + V)/2, V = (D*U + V)/2
+            u, v = (u + v) % n, (D * u + v) % n
+            u = (u + n if u & 1 else u) >> 1
+            v = (v + n if v & 1 else v) >> 1
+            q_k = q_k * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, q_k = (v * v - 2 * q_k) % n, q_k * q_k % n
+        if v == 0:
+            return True
+    return False
+
+
+def _baillie_psw(n: int) -> bool:
+    """Baillie-PSW for odd n > 2: a strong base-2 Miller-Rabin round, then a strong Lucas test."""
+    return _strong_probable_prime(n, 2) and _strong_lucas(n)
+
+
+@functools.cache
+def _odd_prime_product() -> int:
+    """The product of the odd primes below _SCREEN_LIMIT, built on first use."""
+    flags = bytearray([1]) * _SCREEN_LIMIT
+    for i in range(3, math.isqrt(_SCREEN_LIMIT) + 1, 2):
+        if flags[i]:
+            flags[i * i::2 * i] = bytes(len(range(i * i, _SCREEN_LIMIT, 2 * i)))
+    factors = [i for i in range(3, _SCREEN_LIMIT, 2) if flags[i]]
+    while len(factors) > 1:  # a product tree, about twice as fast as a running product
+        factors = [math.prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
+    return factors[0]
+
+
+def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
+    """Primality test: small-prime trial division, then Miller-Rabin with the
+    first 13 primes as witnesses below ~3.3e24, where that is deterministic,
+    and Baillie-PSW above it.
+
+    Baillie-PSW (a strong base-2 Miller-Rabin round and a strong Lucas test)
+    has no known counterexample, but no proven error bound either; it draws
+    no random witnesses, so an adversary's input is tested as any other.
+    Given ``rng`` (key generation), the test first draws and discards
+    _MR_ROUNDS witnesses from it, which keeps the seeded stream and so the
+    keys it generates, and screens by a gcd with the odd primes below 2**16.
+    A ``_ProvenPrime`` has passed this test already and returns True at once;
+    any other int is tested in full.
     """
     if isinstance(n, _ProvenPrime):
         return True
@@ -139,24 +231,11 @@ def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
         if n % sp == 0:
             return False
     # n is odd and larger than every trial-division prime here.
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
     if n < _MR_DETERMINISTIC_BOUND:
-        witnesses = _MR_DETERMINISTIC_BASES
-    else:
-        if rng is None:
-            rng = random.Random()
-        witnesses = tuple(rng.randrange(2, n - 1) for _ in range(_MR_ROUNDS))
-    for a in witnesses:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+        return all(_strong_probable_prime(n, a) for a in _MR_DETERMINISTIC_BASES)
+    if rng is not None:
+        for _ in range(_MR_ROUNDS):
+            rng.randrange(2, n - 1)
+        if math.gcd(n, _odd_prime_product()) != 1:
             return False
-    return True
+    return _baillie_psw(n)

@@ -1,4 +1,4 @@
-import random
+import hashlib
 import sys
 from dataclasses import replace
 
@@ -198,6 +198,19 @@ class TestGenerateKey:
             "36703152446882432410605368686976888659897578541367855530573680524776577506609"
         )
 
+    def test_real_size_key_files_frozen(self):
+        # 1024-bit factors lie above the deterministic bound, where each candidate
+        # draws witnesses from the seeded RNG: any change to those draws moves the keys.
+        expected = {
+            KeyMode.CUBIC3_PRIME: "ed82c614473ad24d7bbf42dd8c3f43e903b57ed3e8d8ba301e71400d0a4d7c61",
+            KeyMode.CUBIC3_COMPOSITE: "880dde2155d8a3667c119a8f9794fce7c84b7d3e90af3a570cad07b6f0f5ebc3",
+            KeyMode.CUBIC9_COMPOSITE: "2c488d9c97916e3734ef0d3af4e866e58fb571e1dc378dd41df69eb191994c1e",
+            KeyMode.SQUARE_COMPOSITE: "da06d45aaf906fbc3ce6351729ee97d6a5ce10bc05bafa99dbbe05f2272cc1b6",
+        }
+        for mode, digest in expected.items():
+            text = serialize_key(generate_key(mode, bits=1024, seed=1))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, mode
+
     def test_bits_floor(self):
         with pytest.raises(ValueError):
             generate_key(KeyMode.CUBIC3_COMPOSITE, bits=7, seed=0)
@@ -364,6 +377,13 @@ class TestKeyFiles:
         # one gate to the private part, so one message
         assert messages == {"operation needs the private key (the factors of n)"}
 
+    def test_factors_without_roots_rejected(self, key77):
+        # only key_from_factors derives the roots, so factors alone are no private key
+        with pytest.raises(InvalidArgumentError, match="unity roots"):
+            KeyMaterial(KeyMode.CUBIC3_COMPOSITE, 77, 7, 11)
+        with pytest.raises(InvalidArgumentError, match="unity roots"):
+            replace(key77, unity_roots=None)
+
     def test_factors(self, key31, key77):
         assert key31.factors == (31,)
         assert key77.factors == (7, 11)
@@ -374,7 +394,7 @@ class TestKeyFiles:
 
 
 # Two 46-bit primes whose product lies above the deterministic Miller-Rabin
-# bound (~3.3e24), so only random witnesses can expose it as composite.
+# bound (~3.3e24), so only the Baillie-PSW test above it can expose it as composite.
 _PRIME_A, _PRIME_B = 35184372088891, 36283883716649
 _COMPOSITE = _PRIME_A * _PRIME_B
 
@@ -386,60 +406,56 @@ def keys256():
 
 
 @pytest.fixture
-def witness_draws(monkeypatch):
-    """Records every Miller-Rabin witness drawn from an unseeded RNG.
+def lucas_tests(monkeypatch):
+    """Records the number each strong Lucas test runs on: above the
+    deterministic bound, each primality test that runs in full runs one."""
+    tested = []
+    strong_lucas = cubetag.modular._strong_lucas
 
-    Witnesses from the seeded RNG of generate_key are not recorded.
-    """
-    drawn = []
+    def counting(n):
+        tested.append(n)
+        return strong_lucas(n)
 
-    class CountingRandom(random.Random):
-        def __init__(self, seed=None):
-            self.unseeded = seed is None
-            super().__init__(seed)
-
-        def randrange(self, *args):
-            if self.unseeded:
-                drawn.append(args)
-            return super().randrange(*args)
-
-    monkeypatch.setattr(cubetag.modular.random, "Random", CountingRandom)
-    return drawn
+    monkeypatch.setattr(cubetag.modular, "_strong_lucas", counting)
+    return tested
 
 
 class TestPrimalityTestedOnce:
-    def test_parse_tests_each_factor_once(self, keys256, witness_draws):
+    def test_parse_tests_each_factor_once(self, keys256, lucas_tests):
         for mode, key in keys256.items():
             text = serialize_key(key)
-            witness_draws.clear()
+            lucas_tests.clear()
             assert parse_key(text) == key
-            assert len(witness_draws) == (40 if mode is KeyMode.CUBIC3_PRIME else 80), mode
+            assert lucas_tests == list(key.factors), mode
 
-    def test_built_key_factors_are_not_retested(self, keys256, witness_draws):
+    def test_built_key_factors_are_not_retested(self, keys256, lucas_tests):
         for mode, key in keys256.items():
             assert key_from_factors(mode, key.p, key.q) == key
-        assert witness_draws == []
+        assert lucas_tests == []
 
-    def test_generated_key_is_not_retested(self, witness_draws):
+    def test_generated_key_is_not_retested(self, lucas_tests):
         for mode in KeyMode:
-            generate_key(mode, bits=256, seed=6)
-        assert witness_draws == []
+            lucas_tests.clear()
+            key = generate_key(mode, bits=256, seed=6)
+            # the search's own test of each factor, and none after it
+            assert [lucas_tests.count(f) for f in key.factors] == [1] * len(key.factors), mode
 
-    def test_cross_order_roots_add_no_test(self, keys256, witness_draws, tmp_path, capsys):
+    def test_cross_order_roots_add_no_test(self, keys256, lucas_tests, tmp_path, capsys):
+        key = keys256[KeyMode.CUBIC3_COMPOSITE]
         path = tmp_path / "k.key"
-        path.write_text(serialize_key(keys256[KeyMode.CUBIC3_COMPOSITE]))
+        path.write_text(serialize_key(key))
         for order in ("2", "3"):
-            witness_draws.clear()
+            lucas_tests.clear()
             assert cli.main(["roots", "--key", str(path), "--order", order]) == 0
             assert len(capsys.readouterr().out.split()) == (4 if order == "2" else 3)
-            # the 2 x 40 witnesses of loading the key, none for the roots
-            assert len(witness_draws) == 80
+            # one test per factor, of loading the key, none for the roots
+            assert lucas_tests == [key.p, key.q]
 
 
 class TestCheapChecksFirst:
     """A wrong n or an equal factor pair is refused before any primality test."""
 
-    def test_wrong_modulus_costs_no_prime_test(self, keys256, witness_draws):
+    def test_wrong_modulus_costs_no_prime_test(self, keys256, lucas_tests):
         for mode, key in keys256.items():
             if mode is KeyMode.CUBIC3_PRIME:  # n is the factor there
                 continue
@@ -447,15 +463,15 @@ class TestCheapChecksFirst:
             with pytest.raises(KeyFileError, match="expected 'n=") as info:
                 parse_key(text)
             assert info.value.line == 2, mode
-        assert witness_draws == []
+        assert lucas_tests == []
 
-    def test_equal_factors_cost_no_prime_test(self, keys256, witness_draws):
+    def test_equal_factors_cost_no_prime_test(self, keys256, lucas_tests):
         p = keys256[KeyMode.CUBIC3_COMPOSITE].p
         text = f"mode=CUBIC3_COMPOSITE\nn={p * p}\np={p}\nq={p}\nphi={(p - 1) ** 2}\nalpha=2\n"
         with pytest.raises(KeyFileError, match="distinct") as info:
             parse_key(text)
         assert info.value.line == 3
-        assert witness_draws == []
+        assert lucas_tests == []
 
 
 class TestNonPrimeFactorsRejected:

@@ -15,6 +15,7 @@ from cubetag import (
     kth_root_mod_prime,
     mod_inverse,
 )
+from cubetag.modular import _baillie_psw, _strong_lucas, _strong_probable_prime
 from oracles import sieve, squares_mod, trial_division_prime
 from shaped_primes import SHAPED_PRIMES
 
@@ -245,3 +246,44 @@ class TestIsProbablePrime:
     def test_spot_check_against_trial_division(self):
         for n in range(100_000, 100_400):
             assert is_probable_prime(n) == trial_division_prime(n)
+
+
+def _core_agrees_with_sieve(limit):
+    """Baillie-PSW without trial division against a sieve, on every odd 3 <= n < limit.
+
+    Below the deterministic bound is_probable_prime never reaches this core,
+    so only a direct check covers it; the small primes whose own |D| is n
+    (5, 11) are among the n checked.
+    """
+    prime_set = set(sieve(limit))
+    assert [n for n in range(3, limit, 2) if _baillie_psw(n) != (n in prime_set)] == []
+
+
+class TestBailliePSW:
+    def test_core_agrees_with_sieve_below_100k(self):
+        _core_agrees_with_sieve(100_000)
+
+    @pytest.mark.slow
+    def test_core_agrees_with_sieve_below_1m(self):
+        _core_agrees_with_sieve(1_000_000)
+
+    @pytest.mark.parametrize("n", [2047, 3277, 4033])
+    def test_lucas_rejects_strong_base2_pseudoprimes(self, n):
+        assert _strong_probable_prime(n, 2) and not _strong_lucas(n)
+
+    @pytest.mark.parametrize("n", [5459, 5777, 10877])
+    def test_base2_round_rejects_strong_lucas_pseudoprimes(self, n):
+        assert _strong_lucas(n) and not _strong_probable_prime(n, 2)
+
+    def test_perfect_square_rejected(self):
+        # no D has (D/n) = -1 for a square, so the search for one must not run
+        assert not _strong_lucas(1_000_003 ** 2)
+        assert not is_probable_prime(((1 << 89) - 1) ** 2)
+
+    @pytest.mark.parametrize("p", [101, 103, 109, 131, 137, 139, 149])
+    def test_composite_mersenne_numbers_rejected(self, p):
+        # each is a strong base-2 pseudoprime above the deterministic bound
+        m = (1 << p) - 1
+        assert _strong_probable_prime(m, 2)
+        assert not is_probable_prime(m)
+        assert not is_probable_prime(m, rng=random.Random(p))

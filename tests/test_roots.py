@@ -161,11 +161,8 @@ class TestUnityRootSetValidation:
         assert cube_roots_of_unity_prime(11).roots == (1,)
 
 
-# 2048-bit primes cost ~1.5 s each in the primality test, so they run with the slow sweeps
-_SHAPES = [
-    pytest.param(shape, id="-".join(map(str, shape)), marks=pytest.mark.slow if shape[0] == 2048 else ())
-    for shape in sorted(SHAPED_PRIMES)
-]
+# A 2048-bit prime's primality test (Baillie-PSW) takes a few tenths of a second.
+_SHAPES = [pytest.param(shape, id="-".join(map(str, shape))) for shape in sorted(SHAPED_PRIMES)]
 
 
 class TestRealSizes:
