@@ -11,11 +11,12 @@ them, the ``.pub`` variant only the mode and modulus. ``KeyMaterial.factors``
 is the one gate to the private part. A file is read back by rebuilding the
 key from its factors and requiring ``serialize_key`` to reproduce it.
 
-Proving the factors prime (Baillie-PSW above ~3.3e24) is the bulk of loading
-a key. ``key_from_factors`` tests each factor once and keeps it as a proven
-prime, which every later primality guard accepts without a test; a factor
-read from a file is untrusted and gets that one test, a factor from
-``generate_key`` arrives proven by its own search.
+Every key is checked in ``KeyMaterial``, ``replace`` included, cheapest first:
+the range of n, the factor count, distinctness, n against the factors' product,
+each factor's primality, the mode's constraint, then alpha. Proving the factors
+prime (Baillie-PSW above ~3.3e24) is the bulk of loading a key; each is tested
+once and kept as a proven prime, which later guards accept untested. A factor
+from ``generate_key`` arrives proven by its own search.
 """
 
 from __future__ import annotations
@@ -95,20 +96,52 @@ _MODES = {
 
 @dataclass(frozen=True)
 class KeyMaterial:
-    """A key, possibly public-only (factors, alpha and roots absent)."""
+    """A key: the mode and n, and for a private key the factors and alpha.
+
+    The one place a key is checked, ``replace`` included (see the module docstring).
+    ``unity_roots`` is derived from the factors; ``alpha`` defaults to the smallest
+    nontrivial root of 1, and is None in a mode without one.
+    """
 
     mode: KeyMode
     n: int
     p: int | None = None
     q: int | None = None
     alpha: int | None = None
-    unity_roots: UnityRootSet | None = field(default=None, repr=False)
+    unity_roots: UnityRootSet | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.p is not None and self.unity_roots is None:
+        if not 2 <= self.n < _DECIMAL_BOUND:
+            raise InvalidArgumentError(f"n must be at least 2 and at most {_MAX_DIGITS} digits")
+        if self.p is None:
+            if self.q is not None or self.alpha is not None:
+                raise InvalidArgumentError("a public key has no q or alpha")
+            return
+        spec = _MODES[self.mode]
+        factors = (self.p,) if self.q is None else (self.p, self.q)
+        if len(factors) != len(spec.shapes):
             raise InvalidArgumentError(
-                "a private key needs the unity roots its factors give; build it with key_from_factors"
+                f"{self.mode.value} takes {len(spec.shapes)} factor(s), got {len(factors)}"
             )
+        if self.p == self.q:
+            raise InvalidArgumentError("factors must be distinct")
+        if self.n != math.prod(factors):
+            raise InvalidArgumentError("n must be the product of the factors")
+        for factor in factors:
+            _require_odd_prime(factor)
+        factors = tuple(map(_ProvenPrime, factors))
+        phi = math.prod(f - 1 for f in factors)
+        if not spec.constraint(factors[0], phi):
+            raise KeyGenerationError(
+                f"{self.mode.value} needs {spec.requirement}; p={factors[0]}, phi={phi} fails"
+            )
+        roots = _unity_roots(spec.exponent, factors)
+        choices = roots.nontrivial() if "alpha" in spec.private_fields else (None,)
+        alpha = choices[0] if self.alpha is None else self.alpha
+        if alpha not in choices:  # a nontrivial root of 1, or None where the mode has no alpha
+            raise InvalidArgumentError(f"{self.mode.value} refuses alpha={reprlib.repr(alpha)}")
+        for name, value in (*zip(("p", "q"), factors), ("alpha", alpha), ("unity_roots", roots)):
+            object.__setattr__(self, name, value)
 
     @property
     def has_private(self) -> bool:
@@ -138,32 +171,8 @@ class KeyMaterial:
 
 
 def key_from_factors(mode: KeyMode, p: int, q: int | None = None) -> KeyMaterial:
-    """Assemble full key material from explicit factors, checking cheapest first:
-    the factor count, distinctness, each factor's primality, the mode's constraint.
-
-    Each factor is tested for primality once, here (Baillie-PSW above
-    ~3.3e24, which draws no random witnesses), and stored as a proven prime, so
-    the root routines below, and a later key_from_factors given this key's p
-    and q, skip the test.
-    """
-    spec = _MODES[mode]
-    factors = (p,) if q is None else (p, q)
-    if len(factors) != len(spec.shapes):
-        raise InvalidArgumentError(
-            f"{mode.value} takes {len(spec.shapes)} factor(s), got {len(factors)}"
-        )
-    if p == q:
-        raise InvalidArgumentError("factors must be distinct")
-    for factor in factors:
-        _require_odd_prime(factor)
-    factors = tuple(map(_ProvenPrime, factors))
-    p, q = factors if len(factors) == 2 else (factors[0], None)
-    phi = math.prod(f - 1 for f in factors)
-    if not spec.constraint(p, phi):
-        raise KeyGenerationError(f"{mode.value} needs {spec.requirement}; p={p}, phi={phi} fails")
-    root_set = _unity_roots(spec.exponent, factors)
-    alpha = root_set.roots[1] if "alpha" in spec.private_fields else None
-    return KeyMaterial(mode=mode, n=math.prod(factors), p=p, q=q, alpha=alpha, unity_roots=root_set)
+    """The private key of `mode` with factors p and q (p alone in prime mode): see KeyMaterial."""
+    return KeyMaterial(mode, math.prod((p,) if q is None else (p, q)), p, q)
 
 
 def _random_prime(rng: random.Random, bits: int, accept) -> int:
@@ -278,15 +287,15 @@ def parse_key(text: str) -> KeyMaterial:
     at = [i for i, name in enumerate(names) if name in ("n", "p", "q")][-len(spec.shapes):]
     factors = [_decimal_field(lines, i, names[i]) for i in at]
     try:  # a product too long for the n= line fails here, as invalid key material
-        _require_lines(lines[:2], serialize_key(KeyMaterial(mode, math.prod(factors))))
+        _require_lines(lines[:2], f"{lines[0]}\n" + _decimal_lines({"n": math.prod(factors)}))
         key = key_from_factors(mode, *factors)
     except (ValueError, KeyGenerationError) as exc:
         refused = (i for i, f in zip(at, factors) if str(exc) == f"{f} is not an odd prime")
         raise KeyFileError(f"invalid key material: {exc}", line=next(refused, at[0]) + 1) from exc
-    # The agreed alpha need not be the smallest nontrivial root; keep the file's choice.
+    # The key has the smallest nontrivial root as alpha; keep another the file agreed on.
     agreed = dict(zip(names, lines)).get("alpha")
     key = next(
-        (replace(key, alpha=u) for u in key.roots.nontrivial() if agreed == f"alpha={u}"), key
+        (replace(key, alpha=u) for u in key.roots.nontrivial()[1:] if agreed == f"alpha={u}"), key
     )
     _require_lines(lines, serialize_key(key))
     return key

@@ -1,11 +1,15 @@
 import hashlib
+import math
 import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cubetag.modular
 from cubetag import (
+    CubeTagError,
     InvalidArgumentError,
     KeyFileError,
     KeyGenerationError,
@@ -26,7 +30,7 @@ from cubetag import (
     square_roots_of_unity_composite,
 )
 from cubetag.keys import _MAX_FILE_CHARS
-from oracles import sieve
+from oracles import kth_roots_of_unity, sieve
 
 
 def _accepted_cubic_mode(p, q=None):
@@ -226,6 +230,86 @@ class TestGenerateKey:
             generate_key(KeyMode.CUBIC3_COMPOSITE, q=11)
 
 
+class TestEveryKeyIsChecked:
+    """KeyMaterial checks every key against its factors, ``replace`` included."""
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"mode": KeyMode.CUBIC3_PRIME},  # takes one factor
+            {"mode": KeyMode.CUBIC9_COMPOSITE},  # 9 does not divide phi = 60
+            {"mode": KeyMode.SQUARE_COMPOSITE},  # carries alpha=23 into a mode without one
+            {"n": 78},
+            {"n": 1},
+            {"n": 0},
+            {"n": 10**4300},  # no n= line holds it
+            {"p": 13},  # 13 * 11 is not n
+            {"p": 11},  # equal factors
+            {"p": None},  # a public key cannot keep q and alpha
+            {"q": 13},
+            {"q": None},  # CUBIC3_COMPOSITE takes two factors
+            {"n": 7 * 15, "q": 15},  # 15 is not prime
+            {"alpha": 5},  # no cube root of 1 mod 77
+            {"alpha": 1},  # the trivial root
+            {"alpha": 34},  # a square root of 1, not a cube root
+        ],
+        ids="-".join,
+    )
+    def test_clashing_replace_refused(self, key77, changes):
+        with pytest.raises(CubeTagError):
+            replace(key77, **changes)
+
+    def test_mode_switch_without_alpha(self, key77, key77_square):
+        assert replace(key77, mode=KeyMode.SQUARE_COMPOSITE, alpha=None) == key77_square
+        assert replace(key77_square, mode=KeyMode.CUBIC3_COMPOSITE) == key77
+
+    def test_alpha_choices(self, key77):
+        assert replace(key77, alpha=None) == key77
+        key = replace(key77, alpha=67)
+        assert key.alpha == 67 and key.unity_roots == key77.unity_roots
+        assert parse_key(serialize_key(key)) == key
+
+    def test_public_key_refusals(self):
+        for mode in KeyMode:
+            for n in (0, 1, -77):
+                with pytest.raises(InvalidArgumentError, match="at least 2"):
+                    KeyMaterial(mode, n)
+            for extra in ({"q": 11}, {"alpha": 23}):
+                with pytest.raises(InvalidArgumentError, match="public key"):
+                    KeyMaterial(mode, 77, **extra)
+
+
+_DESK_PRIMES = sieve(100)[1:]
+
+
+@st.composite
+def _desk_key_arguments(draw):
+    """A mode, distinct desk-scale primes (one in prime mode) and any alpha
+    choice: None, a square or cube root of 1 mod n, or another residue."""
+    mode = draw(st.sampled_from(list(KeyMode)))
+    count = 1 if mode is KeyMode.CUBIC3_PRIME else 2
+    factors = draw(st.lists(st.sampled_from(_DESK_PRIMES), min_size=count, max_size=count,
+                            unique=True))
+    n = math.prod(factors)
+    roots = kth_roots_of_unity(n, 2) + kth_roots_of_unity(n, 3)
+    alpha = draw(st.none() | st.sampled_from(roots) | st.integers(0, n))
+    return mode, n, factors, alpha
+
+
+@settings(max_examples=300, deadline=None)
+@given(arguments=_desk_key_arguments())
+def test_every_accepted_key_round_trips(arguments):
+    """Whenever KeyMaterial accepts a key, its private and public files parse back to it."""
+    mode, n, factors, alpha = arguments
+    try:
+        key = KeyMaterial(mode, n, *factors, alpha=alpha)
+    except CubeTagError:
+        return
+    assert alpha is None or alpha in key.unity_roots.nontrivial()
+    assert parse_key(serialize_key(key)) == key
+    assert parse_key(serialize_key(key.public())) == key.public()
+
+
 class TestKeyFiles:
     def test_example_key_round_trip(self, key77):
         text = serialize_key(key77)
@@ -377,12 +461,13 @@ class TestKeyFiles:
         # one gate to the private part, so one message
         assert messages == {"operation needs the private key (the factors of n)"}
 
-    def test_factors_without_roots_rejected(self, key77):
-        # only key_from_factors derives the roots, so factors alone are no private key
-        with pytest.raises(InvalidArgumentError, match="unity roots"):
-            KeyMaterial(KeyMode.CUBIC3_COMPOSITE, 77, 7, 11)
-        with pytest.raises(InvalidArgumentError, match="unity roots"):
+    def test_roots_derived_from_factors(self, key77):
+        # the factors alone make the private key; its roots cannot be supplied
+        assert KeyMaterial(KeyMode.CUBIC3_COMPOSITE, 77, 7, 11) == key77
+        with pytest.raises(ValueError, match="unity_roots"):
             replace(key77, unity_roots=None)
+        with pytest.raises(TypeError):
+            KeyMaterial(KeyMode.CUBIC3_COMPOSITE, 77, 7, 11, 23, key77.unity_roots)
 
     def test_factors(self, key31, key77):
         assert key31.factors == (31,)
@@ -504,8 +589,9 @@ class TestNonPrimeFactorsRejected:
             for value in vars(cubetag).values()
         )
         for key in keys256.values():
-            plain = replace(key, p=int(key.p), q=None if key.q is None else int(key.q))
-            assert type(plain.p) is int
+            factors = [int(f) for f in key.factors]
+            assert {type(f) for f in factors} == {int}
+            plain = KeyMaterial(key.mode, key.n, *factors)
             assert plain == key and hash(plain) == hash(key)
             assert repr(plain) == repr(key)
             assert serialize_key(plain) == serialize_key(key)
