@@ -12,8 +12,8 @@ is the one gate to the private part. A file is read back by rebuilding the
 key from its factors and requiring ``serialize_key`` to reproduce it.
 
 Every key is checked in ``KeyMaterial``, ``replace`` included, cheapest first:
-the range of n, the factor count, distinctness, n against the factors' product,
-each factor's primality, the mode's constraint, then alpha. Proving the factors
+the types, the range of n, the factor count, distinctness, n against the factors'
+product, the mode's constraint, then each factor's primality. Proving the factors
 prime (Baillie-PSW above ~3.3e24) is the bulk of loading a key; each is tested
 once and kept as a proven prime, which later guards accept untested. A factor
 from ``generate_key`` arrives proven by its own search.
@@ -26,7 +26,7 @@ import math
 import random
 import re
 import reprlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import Callable
 
@@ -96,26 +96,32 @@ _MODES = {
 
 @dataclass(frozen=True)
 class KeyMaterial:
-    """A key: the mode and n, and for a private key the factors and alpha.
+    """A key: the mode and n, and for a private key the factors.
 
     The one place a key is checked, ``replace`` included (see the module docstring).
-    ``unity_roots`` is derived from the factors; ``alpha`` defaults to the smallest
-    nontrivial root of 1, and is None in a mode without one.
+    ``unity_roots`` and ``alpha`` are derived from the factors, never passed in:
+    ``alpha`` is the smallest nontrivial root of 1, and None in SQUARE mode.
     """
 
     mode: KeyMode
     n: int
     p: int | None = None
     q: int | None = None
-    alpha: int | None = None
+    alpha: int | None = field(default=None, init=False)
     unity_roots: UnityRootSet | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.mode, KeyMode):
+            raise InvalidArgumentError(f"mode must be a KeyMode, got {reprlib.repr(self.mode)}")
+        for name in ("n", "p", "q"):
+            value = getattr(self, name)
+            if not isinstance(value, int) and (name == "n" or value is not None):
+                raise InvalidArgumentError(f"{name} must be an int, got {reprlib.repr(value)}")
         if not 2 <= self.n < _DECIMAL_BOUND:
             raise InvalidArgumentError(f"n must be at least 2 and at most {_MAX_DIGITS} digits")
         if self.p is None:
-            if self.q is not None or self.alpha is not None:
-                raise InvalidArgumentError("a public key has no q or alpha")
+            if self.q is not None:
+                raise InvalidArgumentError("a public key has no q")
             return
         spec = _MODES[self.mode]
         factors = (self.p,) if self.q is None else (self.p, self.q)
@@ -127,19 +133,16 @@ class KeyMaterial:
             raise InvalidArgumentError("factors must be distinct")
         if self.n != math.prod(factors):
             raise InvalidArgumentError("n must be the product of the factors")
+        phi = math.prod(f - 1 for f in factors)
+        if not spec.constraint(self.p, phi):
+            raise KeyGenerationError(
+                f"{self.mode.value} needs {spec.requirement}; p={self.p}, phi={phi} fails"
+            )
         for factor in factors:
             _require_odd_prime(factor)
         factors = tuple(map(_ProvenPrime, factors))
-        phi = math.prod(f - 1 for f in factors)
-        if not spec.constraint(factors[0], phi):
-            raise KeyGenerationError(
-                f"{self.mode.value} needs {spec.requirement}; p={factors[0]}, phi={phi} fails"
-            )
         roots = _unity_roots(spec.exponent, factors)
-        choices = roots.nontrivial() if "alpha" in spec.private_fields else (None,)
-        alpha = choices[0] if self.alpha is None else self.alpha
-        if alpha not in choices:  # a nontrivial root of 1, or None where the mode has no alpha
-            raise InvalidArgumentError(f"{self.mode.value} refuses alpha={reprlib.repr(alpha)}")
+        alpha = roots.nontrivial()[0] if "alpha" in spec.private_fields else None
         for name, value in (*zip(("p", "q"), factors), ("alpha", alpha), ("unity_roots", roots)):
             object.__setattr__(self, name, value)
 
@@ -266,10 +269,10 @@ def parse_key(text: str) -> KeyMaterial:
     """Parse a key file: two lines (mode, n) for a public key, else a private
     file that must read exactly as serialize_key writes the key its factors give.
 
-    Only mode, n, the factors and alpha are read; the factors are p= and q= (lines 3 and
-    4), or n= (line 2) in prime mode, the one-factor case. n is compared with their product
-    before any primality test, then key_from_factors rebuilds the key, keeping the file's
-    alpha when it is a nontrivial root of 1. KeyFileError names the first line at fault; for
+    Only mode, n and the factors are read; the factors are p= and q= (lines 3 and 4), or
+    n= (line 2) in prime mode, the one-factor case. n is compared with their product before
+    key_from_factors builds the one key they give, so each key has one private file, its
+    alpha the smallest nontrivial root. KeyFileError names the first line at fault; for
     invalid factors, that of the factor a primality check refused, else the first factor's.
     """
     lines = _file_lines(text)
@@ -292,10 +295,5 @@ def parse_key(text: str) -> KeyMaterial:
     except (ValueError, KeyGenerationError) as exc:
         refused = (i for i, f in zip(at, factors) if str(exc) == f"{f} is not an odd prime")
         raise KeyFileError(f"invalid key material: {exc}", line=next(refused, at[0]) + 1) from exc
-    # The key has the smallest nontrivial root as alpha; keep another the file agreed on.
-    agreed = dict(zip(names, lines)).get("alpha")
-    key = next(
-        (replace(key, alpha=u) for u in key.roots.nontrivial()[1:] if agreed == f"alpha={u}"), key
-    )
     _require_lines(lines, serialize_key(key))
     return key

@@ -77,7 +77,7 @@ class TestClassifyModulus:
 
     def test_non_prime_rejected(self):
         with pytest.raises(ValueError):
-            _accepted_cubic_mode(21)
+            _accepted_cubic_mode(115)  # 5 * 23, and 115 = 7 mod 36 fits prime mode
         with pytest.raises(ValueError):
             _accepted_cubic_mode(7, 15)
 
@@ -238,14 +238,14 @@ class TestEveryKeyIsChecked:
         [
             {"mode": KeyMode.CUBIC3_PRIME},  # takes one factor
             {"mode": KeyMode.CUBIC9_COMPOSITE},  # 9 does not divide phi = 60
-            {"mode": KeyMode.SQUARE_COMPOSITE},  # carries alpha=23 into a mode without one
+            {"mode": "CUBIC3_COMPOSITE"},  # the mode's name, not the KeyMode
             {"n": 78},
             {"n": 1},
             {"n": 0},
             {"n": 10**4300},  # no n= line holds it
             {"p": 13},  # 13 * 11 is not n
             {"p": 11},  # equal factors
-            {"p": None},  # a public key cannot keep q and alpha
+            {"p": None},  # a public key cannot keep q
             {"q": 13},
             {"q": None},  # CUBIC3_COMPOSITE takes two factors
             {"n": 7 * 15, "q": 15},  # 15 is not prime
@@ -256,27 +256,48 @@ class TestEveryKeyIsChecked:
         ids="-".join,
     )
     def test_clashing_replace_refused(self, key77, changes):
-        with pytest.raises(CubeTagError):
+        # alpha is derived, so replace refuses it as it refuses any init=False field
+        error = ValueError if "alpha" in changes else CubeTagError
+        with pytest.raises(error):
             replace(key77, **changes)
 
     def test_mode_switch_without_alpha(self, key77, key77_square):
-        assert replace(key77, mode=KeyMode.SQUARE_COMPOSITE, alpha=None) == key77_square
+        # alpha follows the mode: the smallest nontrivial cube root, none in SQUARE mode
+        assert replace(key77, mode=KeyMode.SQUARE_COMPOSITE) == key77_square
         assert replace(key77_square, mode=KeyMode.CUBIC3_COMPOSITE) == key77
 
-    def test_alpha_choices(self, key77):
-        assert replace(key77, alpha=None) == key77
-        key = replace(key77, alpha=67)
-        assert key.alpha == 67 and key.unity_roots == key77.unity_roots
-        assert parse_key(serialize_key(key)) == key
+    def test_alpha_choices(self, key77, key77_square):
+        # the key makes the choice: the smallest nontrivial root, none in SQUARE mode
+        assert key77.alpha == 23 == key77.unity_roots.nontrivial()[0]
+        assert key77_square.alpha is None
+        for alpha in (None, 23, 67):
+            with pytest.raises(ValueError, match="alpha"):
+                replace(key77, alpha=alpha)
+            with pytest.raises(TypeError):
+                KeyMaterial(KeyMode.CUBIC3_COMPOSITE, 77, 7, 11, alpha=alpha)
 
     def test_public_key_refusals(self):
         for mode in KeyMode:
             for n in (0, 1, -77):
                 with pytest.raises(InvalidArgumentError, match="at least 2"):
                     KeyMaterial(mode, n)
-            for extra in ({"q": 11}, {"alpha": 23}):
-                with pytest.raises(InvalidArgumentError, match="public key"):
-                    KeyMaterial(mode, 77, **extra)
+            with pytest.raises(InvalidArgumentError, match="public key"):
+                KeyMaterial(mode, 77, q=11)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (KeyMode.CUBIC3_COMPOSITE, 77.0, 7, 11),
+            (KeyMode.CUBIC3_COMPOSITE, 77, 7.0, 11),
+            ("CUBIC3_COMPOSITE", 77, 7, 11),
+            ("CUBIC3_COMPOSITE", 77),
+        ],
+        ids=["float-n", "float-p", "mode-name", "public-mode-name"],
+    )
+    def test_wrong_types_refused(self, args):
+        # each would write a file parse_key refuses, or fail with a bare error
+        with pytest.raises(InvalidArgumentError, match="must be an int|must be a KeyMode"):
+            KeyMaterial(*args)
 
 
 _DESK_PRIMES = sieve(100)[1:]
@@ -284,28 +305,25 @@ _DESK_PRIMES = sieve(100)[1:]
 
 @st.composite
 def _desk_key_arguments(draw):
-    """A mode, distinct desk-scale primes (one in prime mode) and any alpha
-    choice: None, a square or cube root of 1 mod n, or another residue."""
+    """A mode and distinct desk-scale primes, one in prime mode."""
     mode = draw(st.sampled_from(list(KeyMode)))
     count = 1 if mode is KeyMode.CUBIC3_PRIME else 2
     factors = draw(st.lists(st.sampled_from(_DESK_PRIMES), min_size=count, max_size=count,
                             unique=True))
-    n = math.prod(factors)
-    roots = kth_roots_of_unity(n, 2) + kth_roots_of_unity(n, 3)
-    alpha = draw(st.none() | st.sampled_from(roots) | st.integers(0, n))
-    return mode, n, factors, alpha
+    return mode, math.prod(factors), factors
 
 
 @settings(max_examples=300, deadline=None)
 @given(arguments=_desk_key_arguments())
 def test_every_accepted_key_round_trips(arguments):
     """Whenever KeyMaterial accepts a key, its private and public files parse back to it."""
-    mode, n, factors, alpha = arguments
+    mode, n, factors = arguments
     try:
-        key = KeyMaterial(mode, n, *factors, alpha=alpha)
+        key = KeyMaterial(mode, n, *factors)
     except CubeTagError:
         return
-    assert alpha is None or alpha in key.unity_roots.nontrivial()
+    roots = kth_roots_of_unity(n, mode.exponent)
+    assert key.alpha == (None if mode is KeyMode.SQUARE_COMPOSITE else roots[1])
     assert parse_key(serialize_key(key)) == key
     assert parse_key(serialize_key(key.public())) == key.public()
 
@@ -405,12 +423,13 @@ class TestKeyFiles:
     def test_non_prime_factor_names_its_line(self):
         # the factor the primality check refuses is named: p= on line 3, q= on
         # line 4, or n= on line 2 in prime mode, where n is the one factor
-        for text, line in (
-            ("mode=CUBIC3_COMPOSITE\nn=147\np=7\nq=21\nphi=120\nalpha=2\n", 4),
-            ("mode=CUBIC3_COMPOSITE\nn=147\np=21\nq=7\nphi=120\nalpha=2\n", 3),
-            ("mode=CUBIC3_PRIME\nn=21\nphi=20\nalpha=2\n", 2),
+        for text, factor, line in (
+            ("mode=CUBIC3_COMPOSITE\nn=147\np=7\nq=21\nphi=120\nalpha=2\n", 21, 4),
+            ("mode=CUBIC3_COMPOSITE\nn=147\np=21\nq=7\nphi=120\nalpha=2\n", 21, 3),
+            # 115 = 5 * 23 fits prime mode's constraint, so its primality is tested
+            ("mode=CUBIC3_PRIME\nn=115\nphi=114\nalpha=2\n", 115, 2),
         ):
-            with pytest.raises(KeyFileError, match="21 is not an odd prime") as info:
+            with pytest.raises(KeyFileError, match=f"{factor} is not an odd prime") as info:
                 parse_key(text)
             assert info.value.line == line
 
@@ -422,17 +441,12 @@ class TestKeyFiles:
                 assert info.value.line == 2
 
     def test_tampered_alpha_rejected(self, key77):
-        # 24 is no cube root of 1 mod 77; 1 is one, but the trivial one
-        for alpha in ("24", "1", "023"):
+        # 24 is no cube root of 1 mod 77; 1 is one, but the trivial one; 67 is a
+        # nontrivial one, but not the smallest, so each key has one private file
+        for alpha in ("24", "1", "023", "67"):
             with pytest.raises(KeyFileError) as info:
                 parse_key(serialize_key(key77).replace("alpha=23", f"alpha={alpha}"))
             assert info.value.line == 6
-
-    def test_non_smallest_agreed_alpha_kept(self, key77):
-        text = serialize_key(key77).replace("alpha=23", "alpha=67")
-        parsed = parse_key(text)
-        assert parsed.alpha == 67
-        assert serialize_key(parsed) == text
 
     def test_overlong_file_rejected(self):
         # the line where the limit is crossed is named
@@ -538,7 +552,8 @@ class TestPrimalityTestedOnce:
 
 
 class TestCheapChecksFirst:
-    """A wrong n or an equal factor pair is refused before any primality test."""
+    """A wrong n, an equal factor pair or factors that fail the mode's constraint
+    are refused before any primality test."""
 
     def test_wrong_modulus_costs_no_prime_test(self, keys256, lucas_tests):
         for mode, key in keys256.items():
@@ -558,15 +573,32 @@ class TestCheapChecksFirst:
         assert info.value.line == 3
         assert lucas_tests == []
 
+    def test_mode_constraint_costs_no_prime_test(self, keys256, lucas_tests):
+        # 256-bit key files relabelled to a cubic mode their totient does not fit
+        texts = [
+            serialize_key(keys256[KeyMode.CUBIC3_COMPOSITE]).replace("CUBIC3", "CUBIC9"),
+            serialize_key(keys256[KeyMode.CUBIC9_COMPOSITE]).replace("CUBIC9", "CUBIC3"),
+        ]
+        # and a prime at the 4300-digit cap: 1477!+1 has 4042 digits, and 9 | p-1
+        p = math.factorial(1477) + 1
+        texts.append(f"mode=CUBIC3_COMPOSITE\nn={p * 11}\np={p}\nq=11\nphi={(p - 1) * 10}\n"
+                     f"alpha=2\n")
+        for text in texts:
+            with pytest.raises(KeyFileError, match="needs phi divisible by") as info:
+                parse_key(text)
+            assert info.value.line == 3
+        assert lucas_tests == []
+
 
 class TestNonPrimeFactorsRejected:
     def test_composite_factor_in_key_file(self):
         assert is_probable_prime(_PRIME_A) and is_probable_prime(_PRIME_B)
         assert _COMPOSITE > 2**82
         text = (
-            f"mode=CUBIC3_COMPOSITE\nn={_COMPOSITE * 11}\np={_COMPOSITE}\nq=11\n"
-            f"phi={(_COMPOSITE - 1) * 10}\nalpha=2\n"
+            f"mode=CUBIC3_COMPOSITE\nn={_COMPOSITE * 13}\np={_COMPOSITE}\nq=13\n"
+            f"phi={(_COMPOSITE - 1) * 12}\nalpha=2\n"
         )
+        assert (_COMPOSITE - 1) * 12 % 9 == 3  # fits the mode, so the primality test runs
         with pytest.raises(KeyFileError) as info:
             parse_key(text)
         assert info.value.line == 3
