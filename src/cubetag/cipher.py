@@ -20,7 +20,8 @@ from .errors import (
     NonResidueError,
     TagRangeError,
 )
-from .keys import KeyMaterial, KeyMode, _decimal_field, _decimal_lines, _file_lines, _require_lines
+from .formats import decimal_field, decimal_lines, file_lines, require_lines
+from .keys import KeyMaterial, KeyMode
 from .modular import crt_combine, kth_root_mod_prime
 
 __all__ = [
@@ -120,17 +121,15 @@ def decrypt(ct: TaggedCiphertext, key: KeyMaterial) -> int:
 
 
 def serialize_ciphertext(ct: TaggedCiphertext) -> str:
-    return _decimal_lines({"c": ct.c, "tag": ct.tag})
+    return decimal_lines({"c": ct.c, "tag": ct.tag})
 
 
 def parse_ciphertext(text: str, mode: KeyMode) -> TaggedCiphertext:
     """Parse a ciphertext file, which must read exactly as serialize_ciphertext
     writes it; raises KeyFileError naming the first line at fault."""
-    lines = _file_lines(text)
-    ct = TaggedCiphertext(
-        c=_decimal_field(lines, 0, "c"), tag=_decimal_field(lines, 1, "tag"), mode=mode
-    )
-    _require_lines(lines, serialize_ciphertext(ct))
+    lines = file_lines(text)
+    ct = TaggedCiphertext(decimal_field(lines, 0, "c"), decimal_field(lines, 1, "tag"), mode)
+    require_lines(lines, serialize_ciphertext(ct))
     return ct
 
 

@@ -21,7 +21,8 @@ from .cipher import (
 )
 from .errors import CubeTagError
 from .events import play_round
-from .keys import _MAX_FILE_CHARS, KeyMaterial, KeyMode, generate_key, parse_key, serialize_key
+from .formats import read_file
+from .keys import KeyMaterial, KeyMode, generate_key, parse_key, serialize_key
 from .prng import digit_stream, pack_bits_hex
 from .roots import _unity_roots
 
@@ -33,64 +34,52 @@ _MODE_NAMES = {
 }
 
 
-def _read_file(path: str) -> str:
-    """A file's text, byte for byte, to one character past the longest the formats allow:
-    the parser names the line of a CR, a non-ASCII byte (a lone surrogate), or the excess."""
-    with open(path, "r", encoding="ascii", errors="surrogateescape", newline="") as handle:
-        return handle.read(_MAX_FILE_CHARS + 1)
-
-
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as handle:
         handle.write(text)
 
 
-def _cmd_keygen(args: argparse.Namespace, _key: None) -> int:
+def _cmd_keygen(args: argparse.Namespace, _key: None) -> None:
     mode = _MODE_NAMES[args.mode]
     key = generate_key(mode, bits=args.bits, seed=args.seed, p=args.p, q=args.q)
     _write_text(args.out, serialize_key(key))
     _write_text(args.out + ".pub", serialize_key(key.public()))
     print(key.n)
-    return 0
 
 
-def _cmd_roots(args: argparse.Namespace, key: KeyMaterial) -> int:
+def _cmd_roots(args: argparse.Namespace, key: KeyMaterial) -> None:
     if args.order in (None, key.mode.exponent):
         root_set = key.roots
     else:  # cross-order query: recompute from the factors
         root_set = _unity_roots(args.order, key.factors)
     for root in root_set:
         print(root)
-    return 0
 
 
-def _cmd_encrypt(args: argparse.Namespace, key: KeyMaterial) -> int:
+def _cmd_encrypt(args: argparse.Namespace, key: KeyMaterial) -> None:
     ct = encrypt(args.message, key)
     text = serialize_ciphertext(ct)
     if args.out:
         _write_text(args.out, text)
     else:
         sys.stdout.write(text)
-    return 0
 
 
-def _cmd_decrypt(args: argparse.Namespace, key: KeyMaterial) -> int:
-    ct = parse_ciphertext(_read_file(args.infile), key.mode)
+def _cmd_decrypt(args: argparse.Namespace, key: KeyMaterial) -> None:
+    ct = parse_ciphertext(read_file(args.infile), key.mode)
     print(decrypt(ct, key))
-    return 0
 
 
-def _cmd_rand(args: argparse.Namespace, key: KeyMaterial) -> int:
+def _cmd_rand(args: argparse.Namespace, key: KeyMaterial) -> None:
     digits = digit_stream(key, args.seed, args.radix, args.count)
     if args.hex:
         print(pack_bits_hex(digits))
     else:
         for digit in digits:
             print(digit)
-    return 0
 
 
-def _cmd_game(args: argparse.Namespace, key: KeyMaterial) -> int:
+def _cmd_game(args: argparse.Namespace, key: KeyMaterial) -> None:
     round_ = play_round(key, args.message, args.alice, args.bob)
     print(f"c={round_.c}")
     print(f"coset={round_.coset}")
@@ -99,13 +88,11 @@ def _cmd_game(args: argparse.Namespace, key: KeyMaterial) -> int:
     print(f"bob={round_.bob_choice}")
     print(f"recovered={round_.recovered}")
     print(f"outcome={'success' if round_.success else 'failure'}")
-    return 0
 
 
-def _cmd_table(args: argparse.Namespace, key: KeyMaterial) -> int:
+def _cmd_table(args: argparse.Namespace, key: KeyMaterial) -> None:
     for companions, c in companion_table(key):
         print(f"{' '.join(str(v) for v in companions)} -> {c}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,11 +163,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.hex and args.radix != 2:
             parser.error("--hex requires --radix 2")
     try:
-        key = parse_key(_read_file(args.key)) if "key" in args else None
-        return args.func(args, key)
+        key = parse_key(read_file(args.key)) if "key" in args else None
+        args.func(args, key)
     except (CubeTagError, ValueError, OSError) as exc:
         print(f"cubetag: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def entry() -> None:

@@ -1,4 +1,4 @@
-"""Key generation and the line-oriented key and ciphertext file format.
+"""Key generation and the fields of a key file, whose line format ``formats`` owns.
 
 A key is an exponent (3, or 2 for the squaring variant) and the factors of
 a prime or two-prime modulus; the roots of unity, and so the tag range,
@@ -24,13 +24,13 @@ from __future__ import annotations
 import enum
 import math
 import random
-import re
 import reprlib
 from dataclasses import dataclass, field
-from itertools import zip_longest
 from typing import Callable
 
 from .errors import InvalidArgumentError, KeyFileError, KeyGenerationError, PrivateKeyRequiredError
+from .formats import (DECIMAL_BOUND, MAX_DIGITS, decimal_field, decimal_lines, file_lines,
+                      require_lines)
 from .modular import _ProvenPrime, is_probable_prime
 from .roots import UnityRootSet, _require_odd_prime, _unity_roots
 
@@ -39,14 +39,6 @@ __all__ = [
 ]
 
 _MAX_PRIME_TRIES_PER_BIT = 256
-
-# Canonical ASCII decimal: no sign, no leading zero, at most 4300 digits (Python's default
-# int/str limit), so below _DECIMAL_BOUND. The longest file is six lines of alpha=<4300 digits>.
-_MAX_DIGITS = 4300
-_DECIMAL_BOUND = 10**_MAX_DIGITS
-_DECIMAL = re.compile(rf"0|[1-9][0-9]{{0,{_MAX_DIGITS - 1}}}")
-_MAX_FILE_CHARS = 6 * (len("alpha=") + _MAX_DIGITS + 1)
-
 
 class KeyMode(enum.Enum):
     CUBIC3_PRIME = "CUBIC3_PRIME"
@@ -117,8 +109,8 @@ class KeyMaterial:
             value = getattr(self, name)
             if not isinstance(value, int) and (name == "n" or value is not None):
                 raise InvalidArgumentError(f"{name} must be an int, got {reprlib.repr(value)}")
-        if not 2 <= self.n < _DECIMAL_BOUND:
-            raise InvalidArgumentError(f"n must be at least 2 and at most {_MAX_DIGITS} digits")
+        if not 2 <= self.n < DECIMAL_BOUND:
+            raise InvalidArgumentError(f"n must be at least 2 and at most {MAX_DIGITS} digits")
         if self.p is None:
             if self.q is not None:
                 raise InvalidArgumentError("a public key has no q")
@@ -135,9 +127,8 @@ class KeyMaterial:
             raise InvalidArgumentError("n must be the product of the factors")
         phi = math.prod(f - 1 for f in factors)
         if not spec.constraint(self.p, phi):
-            raise KeyGenerationError(
-                f"{self.mode.value} needs {spec.requirement}; p={self.p}, phi={phi} fails"
-            )
+            raise KeyGenerationError(f"{self.mode.value} needs {spec.requirement}; "
+                                     f"p={reprlib.repr(self.p)}, phi={reprlib.repr(phi)} fails")
         for factor in factors:
             _require_odd_prime(factor)
         factors = tuple(map(_ProvenPrime, factors))
@@ -145,10 +136,6 @@ class KeyMaterial:
         alpha = roots.nontrivial()[0] if "alpha" in spec.private_fields else None
         for name, value in (*zip(("p", "q"), factors), ("alpha", alpha), ("unity_roots", roots)):
             object.__setattr__(self, name, value)
-
-    @property
-    def has_private(self) -> bool:
-        return self.p is not None
 
     @property
     def factors(self) -> tuple[int, ...]:
@@ -210,6 +197,8 @@ def generate_key(
         raise InvalidArgumentError("q given without p")
     if bits < 8:
         raise InvalidArgumentError(f"bits must be >= 8, got {bits}")
+    if bits >= DECIMAL_BOUND.bit_length():  # n < 2**bits must fit a key file's n= line
+        raise InvalidArgumentError(f"bits must be < {DECIMAL_BOUND.bit_length()}, got {bits}")
     rng = random.Random(seed)
     shapes = _MODES[mode].shapes
     factors: list[int] = []
@@ -219,50 +208,10 @@ def generate_key(
     return key_from_factors(mode, *factors)
 
 
-def _file_lines(text: str) -> list[str]:
-    """The lines of a key or ciphertext file, whose last line must end in LF."""
-    if not text:
-        raise KeyFileError("empty file")
-    if len(text) > _MAX_FILE_CHARS:
-        raise KeyFileError(f"file longer than {_MAX_FILE_CHARS} characters",
-                           line=text.count("\n", 0, _MAX_FILE_CHARS) + 1)
-    if not text.endswith("\n"):
-        raise KeyFileError("missing final line feed", line=text.count("\n") + 1)
-    return text[:-1].split("\n")
-
-
-def _decimal_field(lines: list[str], index: int, name: str) -> int:
-    """The value of line `index`, which must read `name=<canonical decimal>`."""
-    if index >= len(lines):
-        raise KeyFileError(f"missing {name}= line", line=index + 1)
-    line = lines[index]
-    if not (line.startswith(name + "=") and _DECIMAL.fullmatch(line, len(name) + 1)):
-        raise KeyFileError(
-            f"expected {name}=<canonical decimal>, got {reprlib.repr(line)}", line=index + 1
-        )
-    return int(line[len(name) + 1:])
-
-
-def _require_lines(lines: list[str], serialized: str) -> None:
-    """Require a file's lines to read exactly as `serialized`, naming the first that differs."""
-    for number, (got, want) in enumerate(zip_longest(lines, _file_lines(serialized)), 1):
-        if got != want:
-            expected = "end of file" if want is None else reprlib.repr(want)
-            found = "end of file" if got is None else reprlib.repr(got)
-            raise KeyFileError(f"expected {expected}, got {found}", line=number)
-
-
-def _decimal_lines(fields: dict[str, int]) -> str:
-    """`name=value` lines, refusing a value that is no canonical decimal of the formats."""
-    if any(not 0 <= value < _DECIMAL_BOUND for value in fields.values()):
-        raise InvalidArgumentError(f"file values must be decimals of at most {_MAX_DIGITS} digits")
-    return "".join(f"{name}={value}\n" for name, value in fields.items())
-
-
 def serialize_key(key: KeyMaterial) -> str:
     """Render a key file; a public key (``key.public()``) gives only mode and n."""
-    names = ("n", *_MODES[key.mode].private_fields) if key.has_private else ("n",)
-    return f"mode={key.mode.value}\n" + _decimal_lines({f: getattr(key, f) for f in names})
+    names = ("n", *_MODES[key.mode].private_fields) if key.p is not None else ("n",)
+    return f"mode={key.mode.value}\n" + decimal_lines({f: getattr(key, f) for f in names})
 
 
 def parse_key(text: str) -> KeyMaterial:
@@ -275,11 +224,11 @@ def parse_key(text: str) -> KeyMaterial:
     alpha the smallest nontrivial root. KeyFileError names the first line at fault; for
     invalid factors, that of the factor a primality check refused, else the first factor's.
     """
-    lines = _file_lines(text)
+    lines = file_lines(text)
     mode = next((m for m in KeyMode if lines[0] == f"mode={m.value}"), None)
     if mode is None:
         raise KeyFileError(f"expected mode=<key mode>, got {reprlib.repr(lines[0])}", line=1)
-    n = _decimal_field(lines, 1, "n")
+    n = decimal_field(lines, 1, "n")
     if n < 2:
         raise KeyFileError(f"modulus {n} out of range", line=2)
     if len(lines) == 2:
@@ -288,12 +237,12 @@ def parse_key(text: str) -> KeyMaterial:
     spec = _MODES[mode]  # the factors: the last of the n, p, q lines, one per factor
     names = ("mode", "n", *spec.private_fields)
     at = [i for i, name in enumerate(names) if name in ("n", "p", "q")][-len(spec.shapes):]
-    factors = [_decimal_field(lines, i, names[i]) for i in at]
+    factors = [decimal_field(lines, i, names[i]) for i in at]
     try:  # a product too long for the n= line fails here, as invalid key material
-        _require_lines(lines[:2], f"{lines[0]}\n" + _decimal_lines({"n": math.prod(factors)}))
+        require_lines(lines[:2], f"{lines[0]}\n" + decimal_lines({"n": math.prod(factors)}))
         key = key_from_factors(mode, *factors)
     except (ValueError, KeyGenerationError) as exc:
         refused = (i for i, f in zip(at, factors) if str(exc) == f"{f} is not an odd prime")
         raise KeyFileError(f"invalid key material: {exc}", line=next(refused, at[0]) + 1) from exc
-    _require_lines(lines, serialize_key(key))
+    require_lines(lines, serialize_key(key))
     return key

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from cubetag.cli import _read_file, main
-from cubetag.keys import _MAX_FILE_CHARS
+from cubetag.cli import main
+from cubetag.formats import MAX_FILE_CHARS, read_file
 
 TABLE_31_TEXT = (
     "1 5 25 -> 1\n"
@@ -263,8 +263,8 @@ class TestFileLength:
                            (["decrypt", "--key", keyfile77, "--in", str(ct)], 1)):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (1, "")
-            assert err == f"cubetag: line {line}: file longer than {_MAX_FILE_CHARS} characters\n"
-        assert len(_read_file(str(key))) == _MAX_FILE_CHARS + 1
+            assert err == f"cubetag: line {line}: file longer than {MAX_FILE_CHARS} characters\n"
+        assert len(read_file(str(key))) == MAX_FILE_CHARS + 1
 
 
 class TestRand:

@@ -29,7 +29,7 @@ from cubetag import (
     serialize_key,
     square_roots_of_unity_composite,
 )
-from cubetag.keys import _MAX_FILE_CHARS
+from cubetag.formats import MAX_FILE_CHARS
 from oracles import kth_roots_of_unity, sieve
 
 
@@ -219,6 +219,19 @@ class TestGenerateKey:
         with pytest.raises(ValueError):
             generate_key(KeyMode.CUBIC3_COMPOSITE, bits=7, seed=0)
 
+    def test_bits_ceiling_refused_before_the_search(self, monkeypatch):
+        # n < 2**bits fits the n= line's 4300 digits for every n only below 14285 bits
+        assert 2**14284 < 10**4300 < 2**14285
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("prime search started")
+
+        monkeypatch.setattr(cubetag.keys, "is_probable_prime", no_search)
+        with pytest.raises(InvalidArgumentError, match="bits must be < 14285, got 14285"):
+            generate_key(KeyMode.CUBIC3_COMPOSITE, bits=14285, seed=1)
+        with pytest.raises(AssertionError, match="prime search started"):
+            generate_key(KeyMode.CUBIC3_COMPOSITE, bits=14284, seed=1)
+
     def test_unsatisfiable_size_rejected(self):
         # 13 is the only 4-bit prime with 3 | p-1 but not 9 | p-1, and the
         # factors must differ, so no seed can succeed.
@@ -347,7 +360,6 @@ class TestKeyFiles:
         assert text == "mode=CUBIC9_COMPOSITE\nn=91\n"
         parsed = parse_key(text)
         assert parsed == key91.public()
-        assert not parsed.has_private
 
     def test_prime_key_file_has_no_factor_lines(self, key31):
         text = serialize_key(key31)
@@ -450,12 +462,12 @@ class TestKeyFiles:
 
     def test_overlong_file_rejected(self):
         # the line where the limit is crossed is named
-        text = "mode=CUBIC3_COMPOSITE\nn=" + "7" * (_MAX_FILE_CHARS - 25) + "\n"
+        text = "mode=CUBIC3_COMPOSITE\nn=" + "7" * (MAX_FILE_CHARS - 25) + "\n"
         with pytest.raises(KeyFileError, match="expected n=") as info:
             parse_key(text)
-        assert (len(text), info.value.line) == (_MAX_FILE_CHARS, 2)
+        assert (len(text), info.value.line) == (MAX_FILE_CHARS, 2)
         for longer, line in ((text + "\n", 3), ("\n" * 3 + text, 5)):
-            with pytest.raises(KeyFileError, match=f"longer than {_MAX_FILE_CHARS} ") as info:
+            with pytest.raises(KeyFileError, match=f"longer than {MAX_FILE_CHARS} ") as info:
                 parse_key(longer)
             assert info.value.line == line
 
@@ -587,6 +599,7 @@ class TestCheapChecksFirst:
             with pytest.raises(KeyFileError, match="needs phi divisible by") as info:
                 parse_key(text)
             assert info.value.line == 3
+            assert len(str(info.value)) < 200  # p and phi are shown abridged
         assert lucas_tests == []
 
 
