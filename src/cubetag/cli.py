@@ -1,14 +1,15 @@
 """Command-line front end.
 
-Subcommands: keygen, roots, encrypt, decrypt, rand, game, table. All values
-cross the boundary as decimal ASCII; input files must end every line in LF,
-like the output. Exit codes: 0 success, 1 domain error (one-line diagnostic
-on stderr), 2 usage error.
+Subcommands: keygen, roots (the key's own roots of 1), encrypt, decrypt, rand, game, table.
+All values cross the boundary as decimal ASCII; input files must end every line in LF, like
+the output, and every regular file written is owner-only (0600). Exit codes: 0 success, 1 domain
+error (one-line diagnostic on stderr), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -24,7 +25,6 @@ from .events import play_round
 from .formats import read_file
 from .keys import KeyMaterial, KeyMode, generate_key, parse_key, serialize_key
 from .prng import digit_stream, pack_bits_hex
-from .roots import _unity_roots
 
 _MODE_NAMES = {
     "cubic3-prime": KeyMode.CUBIC3_PRIME,
@@ -35,7 +35,10 @@ _MODE_NAMES = {
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600), "w",
+              encoding="ascii", newline="\n") as handle:
+        if os.path.isfile(path):  # owner-only (0600) even if it existed; a pipe keeps its mode
+            os.chmod(path, 0o600)
         handle.write(text)
 
 
@@ -48,11 +51,7 @@ def _cmd_keygen(args: argparse.Namespace, _key: None) -> None:
 
 
 def _cmd_roots(args: argparse.Namespace, key: KeyMaterial) -> None:
-    if args.order in (None, key.mode.exponent):
-        root_set = key.roots
-    else:  # cross-order query: recompute from the factors
-        root_set = _unity_roots(args.order, key.factors)
-    for root in root_set:
+    for root in key.roots:
         print(root)
 
 
@@ -118,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_keygen.set_defaults(func=_cmd_keygen)
 
     p_roots = sub.add_parser("roots", parents=[keyed], help="list the key's roots of unity")
-    p_roots.add_argument("--order", type=int, choices=(2, 3), default=None)
     p_roots.set_defaults(func=_cmd_roots)
 
     p_encrypt = sub.add_parser("encrypt", parents=[keyed], help="encrypt one message value")

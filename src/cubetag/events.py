@@ -28,7 +28,6 @@ class RootGrouping:
     triple, each other root in exactly one.
     """
 
-    modulus: int
     groups: tuple[tuple[int, int, int], ...]
 
 
@@ -37,8 +36,8 @@ def partition_nine_roots(roots: UnityRootSet) -> RootGrouping:
     if len(roots) != 9:
         raise InvalidArgumentError(f"expected nine cube roots of 1, got {len(roots)}")
     n = roots.modulus
-    groups = sorted({(1, *sorted((x, x * x % n))) for x in roots.nontrivial()})
-    return RootGrouping(modulus=n, groups=tuple(groups))
+    groups = sorted({(1, *sorted((x, x * x % n))) for x in roots.roots[1:]})
+    return RootGrouping(tuple(groups))
 
 
 @dataclass(frozen=True)

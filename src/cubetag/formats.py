@@ -44,7 +44,10 @@ def decimal_field(lines: list[str], index: int, name: str) -> int:
         raise KeyFileError(
             f"expected {name}=<canonical decimal>, got {reprlib.repr(line)}", line=index + 1
         )
-    return int(line[len(name) + 1:])
+    try:
+        return int(line[len(name) + 1:])
+    except ValueError as exc:  # past an interpreter's lowered int/str conversion limit
+        raise KeyFileError(f"{name}= value: {exc}", line=index + 1) from None
 
 
 def require_lines(lines: list[str], serialized: str) -> None:

@@ -133,7 +133,7 @@ class KeyMaterial:
             _require_odd_prime(factor)
         factors = tuple(map(_ProvenPrime, factors))
         roots = _unity_roots(spec.exponent, factors)
-        alpha = roots.nontrivial()[0] if "alpha" in spec.private_fields else None
+        alpha = roots.roots[1] if "alpha" in spec.private_fields else None
         for name, value in (*zip(("p", "q"), factors), ("alpha", alpha), ("unity_roots", roots)):
             object.__setattr__(self, name, value)
 

@@ -5,8 +5,8 @@ mod a prime, the powers of one primitive root of unity (no square root is
 taken); mod p*q, every pair of per-prime roots joined by CRT. Root sets are
 always returned in ascending order, which is the shared canonical ordering
 the rank tags rely on; the set sizes that occur here are 1 or 3 modulo a
-prime and 1, 3, 4 or 9 modulo p*q. ``_unity_roots`` is the one place an
-order and a factor count pick the routine that builds a set.
+prime and 1, 3, 4 or 9 modulo p*q. ``_unity_roots`` is the one place a
+key's exponent and factor count pick the routine that builds its roots.
 """
 
 from __future__ import annotations
@@ -50,9 +50,6 @@ class UnityRootSet:
     def __iter__(self):
         return iter(self.roots)
 
-    def nontrivial(self) -> tuple[int, ...]:
-        return self.roots[1:]
-
 
 def _require_odd_prime(p: int) -> None:
     if p < 3 or p % 2 == 0 or not is_probable_prime(p):
@@ -94,14 +91,12 @@ def square_roots_of_unity_composite(p: int, q: int) -> UnityRootSet:
 
 
 def _unity_roots(order: int, factors: tuple[int, ...]) -> UnityRootSet:
-    """The roots of 1 of this order modulo the product of one or two prime factors.
+    """A key's roots of 1: cube roots mod one prime, or roots of this order mod p*q.
 
     The routines are looked up as module globals at call time, so a wrapper
     installed on them sees every call made through here.
     """
-    if len(factors) == 1 and order == 3:
+    if len(factors) == 1:
         return cube_roots_of_unity_prime(*factors)
-    if len(factors) == 2 and order in (2, 3):
-        derive = square_roots_of_unity_composite if order == 2 else cube_roots_of_unity_composite
-        return derive(*factors)
-    raise InvalidArgumentError(f"order-{order} roots need a composite private key")
+    derive = square_roots_of_unity_composite if order == 2 else cube_roots_of_unity_composite
+    return derive(*factors)

@@ -210,6 +210,29 @@ class TestDecrypt:
             assert decrypt_candidates(ct.c, key) == sorted(m * u % key.n for u in key.roots)
 
 
+class TestRootCountAgainstRabin:
+    """The abstract's one quantitative claim, at a real size: cubing has 3 roots (9 with two
+    cubic factors) where Rabin's squaring has 4, so a tag takes log2 3 ~ 1.58 bits against 2.
+    A decimal file spends one character on any tag up to 9, so the files are the same size."""
+
+    @pytest.mark.parametrize("mode, count", [
+        (KeyMode.CUBIC3_PRIME, 3), (KeyMode.CUBIC3_COMPOSITE, 3),
+        (KeyMode.CUBIC9_COMPOSITE, 9), (KeyMode.SQUARE_COMPOSITE, 4),
+    ])
+    def test_root_count_tags_and_file_bytes(self, mode, count):
+        key = generate_key(mode, bits=1024, seed=1)
+        assert len(key.roots) == count
+        # 2*u for the roots u share one c and one companion set: their tags are 1..count
+        cts = [encrypt(2 * u % key.n, key) for u in key.roots]
+        assert sorted(ct.tag for ct in cts) == list(range(1, count + 1))
+        with pytest.raises(TagRangeError):
+            decrypt(TaggedCiphertext(cts[0].c, count + 1, mode), key)
+        for ct in cts:
+            assert ct.c == cts[0].c
+            assert serialize_ciphertext(ct) == f"c={ct.c}\n" + f"tag={ct.tag}\n"
+            assert len(f"tag={ct.tag}\n") == 6
+
+
 class TestSquareMode:
     def test_derived_example(self, key77_square):
         ct = encrypt(12, key77_square)

@@ -1,4 +1,6 @@
+import os
 import runpy
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -104,23 +106,75 @@ class TestRoots:
         code, out, _ = run(capsys, "roots", "--key", keyfile31)
         assert code == 0 and out == "1\n5\n25\n"
 
-    def test_order_two_on_cubic_key(self, keyfile77, capsys):
-        code, out, _ = run(capsys, "roots", "--key", keyfile77, "--order", "2")
-        assert code == 0 and out == "1\n34\n43\n76\n"
+    def test_same_factors_roots_of_each_exponent(self, keyfile77, tmp_path, capsys):
+        square = str(tmp_path / "s77.key")
+        run(capsys, "keygen", "--mode", "square", "--p", "7", "--q", "11", "--out", square)
+        assert run(capsys, "roots", "--key", keyfile77) == (0, "1\n23\n67\n", "")
+        assert run(capsys, "roots", "--key", square) == (0, "1\n34\n43\n76\n", "")
 
-    def test_order_three_on_square_key(self, tmp_path, capsys):
-        path = str(tmp_path / "s77.key")
-        run(capsys, "keygen", "--mode", "square", "--p", "7", "--q", "11", "--out", path)
-        code, out, _ = run(capsys, "roots", "--key", path, "--order", "3")
-        assert code == 0 and out == "1\n23\n67\n"
-
-    def test_order_two_on_prime_key_fails(self, keyfile31, capsys):
-        code, _, err = run(capsys, "roots", "--key", keyfile31, "--order", "2")
-        assert code == 1 and err
+    def test_order_is_a_usage_error(self, keyfile77):
+        # a key has only the roots of its own exponent, so no order can be asked for
+        with pytest.raises(SystemExit) as info:
+            main(["roots", "--key", keyfile77, "--order", "2"])
+        assert info.value.code == 2
 
     def test_missing_key_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "roots", "--key", str(tmp_path / "nope.key"))
         assert code == 1 and err
+
+
+class TestFileModes:
+    """Every file cubetag writes is owner-only (0600) under a umask of 022, new or not: the
+    private file holds the factors, and a prime-mode .pub file the prime itself."""
+
+    @pytest.fixture(autouse=True)
+    def umask_022(self):
+        old = os.umask(0o022)
+        try:
+            yield
+        finally:
+            os.umask(old)
+
+    @staticmethod
+    def mode(path) -> int:
+        return stat.S_IMODE(os.stat(path).st_mode)
+
+    def test_new_files_are_owner_only(self, tmp_path, capsys):
+        for mode, factors in (("cubic3", ("--p", "7", "--q", "11")),
+                              ("cubic3-prime", ("--p", "31"))):
+            key = tmp_path / f"{mode}.key"
+            assert run(capsys, "keygen", "--mode", mode, *factors, "--out", str(key))[0] == 0
+            ct = tmp_path / f"{mode}.ct"
+            assert run(capsys, "encrypt", "--key", str(key), "--message", "12",
+                       "--out", str(ct))[0] == 0
+            for path in (key, tmp_path / f"{mode}.key.pub", ct):
+                assert self.mode(path) == 0o600, path.name
+
+    def test_existing_files_become_owner_only(self, tmp_path, capsys):
+        key, ct = tmp_path / "demo.key", tmp_path / "demo.ct"
+        for path in (key, tmp_path / "demo.key.pub", ct):
+            path.write_text("old\n")
+            path.chmod(0o644)
+        assert run(capsys, "keygen", "--mode", "cubic3", "--p", "7", "--q", "11",
+                   "--out", str(key))[0] == 0
+        assert run(capsys, "encrypt", "--key", str(key), "--message", "12",
+                   "--out", str(ct))[0] == 0
+        for path in (key, tmp_path / "demo.key.pub", ct):
+            assert self.mode(path) == 0o600, path.name
+        assert ct.read_text() == "c=34\ntag=1\n"
+
+    def test_pipe_keeps_its_mode(self, keyfile77, tmp_path, capsys):
+        # like a device or a shell's >(...), a pipe is written to, not made owner-only
+        fifo = tmp_path / "ct.fifo"
+        os.mkfifo(fifo, 0o644)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert run(capsys, "encrypt", "--key", keyfile77, "--message", "12",
+                       "--out", str(fifo))[0] == 0
+            assert os.read(reader, 64) == b"c=34\ntag=1\n"
+        finally:
+            os.close(reader)
+        assert self.mode(fifo) == 0o644
 
 
 class TestEncryptDecrypt:
@@ -204,8 +258,7 @@ class TestPublicKeyFile:
         ct = tmp_path / "m.ct"
         assert run(capsys, "encrypt", "--key", keyfile, "--message", "12", "--out", str(ct))[0] == 0
         for argv in (
-            ("roots",), ("roots", "--order", "2"), ("roots", "--order", "3"),
-            ("encrypt", "--message", "12"), ("decrypt", "--in", str(ct)),
+            ("roots",), ("encrypt", "--message", "12"), ("decrypt", "--in", str(ct)),
             ("rand", "--seed", "3", "--radix", "2", "--count", "8"),
             ("game", "--message", "12", "--alice", "1", "--bob", "1"), ("table",),
         ):

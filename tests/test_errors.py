@@ -1,16 +1,21 @@
 """Every failure the package raises reaches a library caller as a CubeTagError."""
 
+import sys
+
 import pytest
 
 from cubetag import (
     CubeTagError,
     InvalidArgumentError,
+    KeyFileError,
     KeyMode,
     PrngState,
     UnityRootSet,
     cube_root_by_exponent,
     digit_stream,
     key_from_factors,
+    parse_ciphertext,
+    parse_key,
     play_round,
     prng_next,
 )
@@ -32,3 +37,21 @@ def test_invalid_arguments_are_typed(key77, key91):
         # still a ValueError, as before the type existed
         assert isinstance(info.value, InvalidArgumentError)
         assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")
+def test_value_past_a_lowered_conversion_limit_names_its_line():
+    # canonical decimal within the formats' 4300 digits, past the interpreter's limit
+    value = "7" * 700
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for parse, text, line in (
+            (lambda t: parse_ciphertext(t, KeyMode.CUBIC3_COMPOSITE), f"c={value}\ntag=1\n", 1),
+            (parse_key, f"mode=CUBIC3_COMPOSITE\nn={value}\n", 2),
+        ):
+            with pytest.raises(KeyFileError) as info:
+                parse(text)
+            assert info.value.line == line
+    finally:
+        sys.set_int_max_str_digits(old)

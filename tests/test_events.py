@@ -19,13 +19,11 @@ GROUPS_91 = ((1, 9, 81), (1, 16, 74), (1, 22, 29), (1, 53, 79))
 
 class TestPartition:
     def test_known_grouping(self, key91):
-        grouping = partition_nine_roots(key91.roots)
-        assert grouping.modulus == 91
-        assert grouping.groups == GROUPS_91
+        assert partition_nine_roots(key91.roots).groups == GROUPS_91
 
     def test_structure(self, key91):
         grouping = partition_nine_roots(key91.roots)
-        n = grouping.modulus
+        n = key91.n
         non_unit = [u for triple in grouping.groups for u in triple if u != 1]
         # every non-1 root appears exactly once, 1 in every triple
         assert sorted(non_unit) == list(key91.roots.roots[1:])

@@ -281,7 +281,7 @@ class TestEveryKeyIsChecked:
 
     def test_alpha_choices(self, key77, key77_square):
         # the key makes the choice: the smallest nontrivial root, none in SQUARE mode
-        assert key77.alpha == 23 == key77.unity_roots.nontrivial()[0]
+        assert key77.alpha == 23 == key77.unity_roots.roots[1]
         assert key77_square.alpha is None
         for alpha in (None, 23, 67):
             with pytest.raises(ValueError, match="alpha"):
@@ -555,12 +555,10 @@ class TestPrimalityTestedOnce:
         key = keys256[KeyMode.CUBIC3_COMPOSITE]
         path = tmp_path / "k.key"
         path.write_text(serialize_key(key))
-        for order in ("2", "3"):
-            lucas_tests.clear()
-            assert cli.main(["roots", "--key", str(path), "--order", order]) == 0
-            assert len(capsys.readouterr().out.split()) == (4 if order == "2" else 3)
-            # one test per factor, of loading the key, none for the roots
-            assert lucas_tests == [key.p, key.q]
+        assert cli.main(["roots", "--key", str(path)]) == 0
+        assert len(capsys.readouterr().out.split()) == 3
+        # one test per factor, of loading the key, none for the roots
+        assert lucas_tests == [key.p, key.q]
 
 
 class TestCheapChecksFirst:
