@@ -13,13 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    InvalidArgumentError,
-    InvalidCiphertextError,
-    InvalidMessageError,
-    NonResidueError,
-    TagRangeError,
-)
+from .errors import (InvalidArgumentError, InvalidCiphertextError, InvalidMessageError,
+                     NonResidueError, TagRangeError, _show)
 from .formats import decimal_field, decimal_lines, file_lines, require_lines
 from .keys import KeyMaterial, KeyMode
 from .modular import crt_combine, kth_root_mod_prime
@@ -50,7 +45,8 @@ def _require_ciphertext(c: int, key: KeyMaterial) -> None:
     """A ciphertext has a unique tagged preimage only in [1, n) and coprime to n."""
     n = key.n
     if not 1 <= c < n or math.gcd(c, n) != 1:
-        raise InvalidCiphertextError(f"ciphertext must be in [1, {n}) and coprime to n, got {c}")
+        raise InvalidCiphertextError(
+            f"ciphertext must be in [1, {_show(n)}) and coprime to n, got {_show(c)}")
 
 
 def encrypt(m: int, key: KeyMaterial) -> TaggedCiphertext:
@@ -61,10 +57,10 @@ def encrypt(m: int, key: KeyMaterial) -> TaggedCiphertext:
     """
     n = key.n
     if not 1 <= m < n:
-        raise InvalidMessageError(f"message must be in [1, {n}), got {m}")
+        raise InvalidMessageError(f"message must be in [1, {_show(n)}), got {_show(m)}")
     g = math.gcd(m, n)
     if g != 1:
-        raise InvalidMessageError(f"message {m} shares a factor with the modulus", factor=g)
+        raise InvalidMessageError(f"message {_show(m)} shares a factor with the modulus", factor=g)
     companions = _companions(m, key)
     tag = companions.index(m) + 1
     return TaggedCiphertext(c=pow(m, key.mode.exponent, n), tag=tag, mode=key.mode)
@@ -81,11 +77,11 @@ def cube_root_by_exponent(c: int, key: KeyMaterial) -> int:
     phi, n = key.phi, key.n
     if key.mode.exponent != 3 or phi % 9 not in (3, 6):
         raise InvalidArgumentError(
-            f"exponent inversion needs cubing with 3 || phi, got phi = {phi}"
+            f"exponent inversion needs cubing with 3 || phi, got phi = {_show(phi)}"
         )
     root = pow(c, pow(3, -1, phi // 3), n)
     if pow(root, 3, n) != c:
-        raise NonResidueError(f"{c} is not a cubic residue mod {n}")
+        raise NonResidueError(f"{_show(c)} is not a cubic residue mod {_show(n)}")
     return root
 
 
@@ -116,7 +112,7 @@ def decrypt(ct: TaggedCiphertext, key: KeyMaterial) -> int:
     ascending order, return the tag-th one."""
     expected = len(key.roots)
     if not 1 <= ct.tag <= expected:
-        raise TagRangeError(f"tag {ct.tag} outside [1, {expected}]")
+        raise TagRangeError(f"tag {_show(ct.tag)} outside [1, {expected}]")
     return decrypt_candidates(ct.c, key)[ct.tag - 1]
 
 
@@ -142,7 +138,7 @@ def companion_table(key: KeyMaterial):
     n = key.n
     if n > _TABLE_LIMIT:
         raise InvalidArgumentError(
-            f"modulus {n} too large for an exhaustive table (limit {_TABLE_LIMIT})"
+            f"modulus {_show(n)} too large for an exhaustive table (limit {_TABLE_LIMIT})"
         )
     k = key.mode.exponent
     seen = bytearray(n)

@@ -14,6 +14,16 @@ __all__ = [
 ]
 
 
+def _show(value: int) -> str:
+    """An int as every message shows it: its decimal, abridged past 40 characters as
+    ``reprlib.repr`` abridges it, or past the interpreter's int/str limit its bit length."""
+    try:
+        text = str(value)
+    except ValueError:
+        return f"<{value.bit_length()}-bit int>"
+    return text if len(text) <= 40 else f"{text[:18]}...{text[-19:]}"
+
+
 class CubeTagError(Exception):
     """Base class for all package-specific errors."""
 
@@ -29,7 +39,7 @@ class NotInvertibleError(CubeTagError):
     """
 
     def __init__(self, a: int, modulus: int, gcd: int):
-        super().__init__(f"{a} is not invertible mod {modulus} (gcd {gcd})")
+        super().__init__(f"{_show(a)} is not invertible mod {_show(modulus)} (gcd {_show(gcd)})")
         self.a = a
         self.modulus = modulus
         self.gcd = gcd
@@ -44,7 +54,7 @@ class InvalidMessageError(CubeTagError):
 
     def __init__(self, message: str, factor: int | None = None):
         if factor is not None:
-            message += f" (shared factor {factor} would leak)"
+            message += f" (shared factor {_show(factor)} would leak)"
         super().__init__(message)
         self.factor = factor
 

@@ -63,4 +63,7 @@ def decimal_lines(fields: dict[str, int]) -> str:
     """`name=value` lines, refusing a value that is no canonical decimal of the formats."""
     if any(not 0 <= value < DECIMAL_BOUND for value in fields.values()):
         raise InvalidArgumentError(f"file values must be decimals of at most {MAX_DIGITS} digits")
-    return "".join(f"{name}={value}\n" for name, value in fields.items())
+    try:
+        return "".join(f"{name}={value}\n" for name, value in fields.items())
+    except ValueError as exc:  # past an interpreter's lowered int/str conversion limit
+        raise InvalidArgumentError(f"file values: {exc}") from None

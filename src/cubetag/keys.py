@@ -28,7 +28,8 @@ import reprlib
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import InvalidArgumentError, KeyFileError, KeyGenerationError, PrivateKeyRequiredError
+from .errors import (InvalidArgumentError, KeyFileError, KeyGenerationError,
+                     PrivateKeyRequiredError, _show)
 from .formats import (DECIMAL_BOUND, MAX_DIGITS, decimal_field, decimal_lines, file_lines,
                       require_lines)
 from .modular import _ProvenPrime, is_probable_prime
@@ -128,7 +129,7 @@ class KeyMaterial:
         phi = math.prod(f - 1 for f in factors)
         if not spec.constraint(self.p, phi):
             raise KeyGenerationError(f"{self.mode.value} needs {spec.requirement}; "
-                                     f"p={reprlib.repr(self.p)}, phi={reprlib.repr(phi)} fails")
+                                     f"p={_show(self.p)}, phi={_show(phi)} fails")
         for factor in factors:
             _require_odd_prime(factor)
         factors = tuple(map(_ProvenPrime, factors))
@@ -196,9 +197,10 @@ def generate_key(
     if q is not None:
         raise InvalidArgumentError("q given without p")
     if bits < 8:
-        raise InvalidArgumentError(f"bits must be >= 8, got {bits}")
+        raise InvalidArgumentError(f"bits must be >= 8, got {_show(bits)}")
     if bits >= DECIMAL_BOUND.bit_length():  # n < 2**bits must fit a key file's n= line
-        raise InvalidArgumentError(f"bits must be < {DECIMAL_BOUND.bit_length()}, got {bits}")
+        raise InvalidArgumentError(
+            f"bits must be < {DECIMAL_BOUND.bit_length()}, got {_show(bits)}")
     rng = random.Random(seed)
     shapes = _MODES[mode].shapes
     factors: list[int] = []
@@ -242,7 +244,7 @@ def parse_key(text: str) -> KeyMaterial:
         require_lines(lines[:2], f"{lines[0]}\n" + decimal_lines({"n": math.prod(factors)}))
         key = key_from_factors(mode, *factors)
     except (ValueError, KeyGenerationError) as exc:
-        refused = (i for i, f in zip(at, factors) if str(exc) == f"{f} is not an odd prime")
+        refused = (i for i, f in zip(at, factors) if str(exc) == f"{_show(f)} is not an odd prime")
         raise KeyFileError(f"invalid key material: {exc}", line=next(refused, at[0]) + 1) from exc
     require_lines(lines, serialize_key(key))
     return key

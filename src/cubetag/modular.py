@@ -11,7 +11,7 @@ import functools
 import math
 import random
 
-from .errors import InvalidArgumentError, NonResidueError, NotInvertibleError
+from .errors import InvalidArgumentError, NonResidueError, NotInvertibleError, _show
 
 __all__ = ["crt_combine", "is_probable_prime", "kth_root_mod_prime", "mod_inverse"]
 
@@ -40,9 +40,9 @@ def mod_inverse(a: int, modulus: int) -> int:
     the gcd because for a composite modulus that value is a factor.
     """
     if a < 0:
-        raise InvalidArgumentError(f"a must be non-negative, got {a}")
+        raise InvalidArgumentError(f"a must be non-negative, got {_show(a)}")
     if modulus < 2:
-        raise InvalidArgumentError(f"modulus must be >= 2, got {modulus}")
+        raise InvalidArgumentError(f"modulus must be >= 2, got {_show(modulus)}")
     a %= modulus
     try:
         return pow(a, -1, modulus)
@@ -58,7 +58,7 @@ def crt_combine(residue_p: int, residue_q: int, p: int, q: int) -> int:
     if p < 2 or q < 2:
         raise InvalidArgumentError("crt moduli must be >= 2")
     if math.gcd(p, q) != 1:
-        raise InvalidArgumentError(f"crt moduli must be coprime, gcd({p}, {q}) != 1")
+        raise InvalidArgumentError(f"crt moduli must be coprime, gcd({_show(p)}, {_show(q)}) != 1")
     residue_q %= q
     return residue_q + q * ((residue_p - residue_q) * pow(q, -1, p) % p)
 
@@ -83,9 +83,9 @@ def kth_root_mod_prime(c: int, p: int, k: int) -> int:
     NonResidueError exactly when c has no k-th root).
     """
     if k not in (2, 3):
-        raise InvalidArgumentError(f"root order must be 2 or 3, got {k}")
+        raise InvalidArgumentError(f"root order must be 2 or 3, got {_show(k)}")
     if p < 3 or p % 2 == 0:
-        raise InvalidArgumentError(f"modulus must be an odd prime, got {p}")
+        raise InvalidArgumentError(f"modulus must be an odd prime, got {_show(p)}")
     c %= p
     if c == 0:
         return 0
@@ -107,7 +107,8 @@ def kth_root_mod_prime(c: int, p: int, k: int) -> int:
                 break
             top = lifted
         else:
-            raise NonResidueError(f"{c} has no {'square' if k == 2 else 'cube'} root mod {p}")
+            raise NonResidueError(
+                f"{_show(c)} has no {'square' if k == 2 else 'cube'} root mod {_show(p)}")
         # top = error**(k**(i-1)) = zeta**j for some 0 < j < k.
         w = pow(generator, k ** (m - i - 1), p)
         generator, m = pow(w, k, p), i
@@ -160,7 +161,9 @@ def _strong_lucas(n: int) -> bool:
     the first D in 5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D)/4.
 
     With n + 1 = d * 2**s, d odd, n passes when U_d = 0 or V_(d*2**r) = 0
-    mod n for some 0 <= r < s.
+    mod n for some 0 <= r < s. The chain holds (u, v) = c * (U_k, V_k), c a power of two and
+    so a unit mod n. From (1, 1) at k = 1, k -> k + 1 is (u + v, D*u + v), and k -> 2k is
+    (2uv, v**2 + D*u**2) as V_k**2 - D*U_k**2 = 4*Q**k: no Q**k, and no halving mod n.
     """
     if math.isqrt(n) ** 2 == n:  # no D would have (D/n) = -1
         return False
@@ -169,21 +172,16 @@ def _strong_lucas(n: int) -> bool:
         if symbol == 0 and abs(D) != n:  # n shares a factor with D, so is composite
             return False
         D = -D - 2 if D > 0 else 2 - D
-    Q = (1 - D) // 4
     s = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = d * 2**s, d odd
-    d = (n + 1) >> s
-    u, v, q_k = 1, 1, Q % n  # U_k, V_k, Q**k for k = 1, the top bit of d
-    for bit in bin(d)[3:]:
-        u, v, q_k = u * v % n, (v * v - 2 * q_k) % n, q_k * q_k % n  # k -> 2k
-        if bit == "1":  # k -> k + 1: U = (U + V)/2, V = (D*U + V)/2
+    u = v = 1
+    for bit in bin((n + 1) >> s)[3:]:
+        u, v = 2 * u * v % n, (v * v + D * (u * u)) % n  # u * u, so CPython squares
+        if bit == "1":
             u, v = (u + v) % n, (D * u + v) % n
-            u = (u + n if u & 1 else u) >> 1
-            v = (v + n if v & 1 else v) >> 1
-            q_k = q_k * Q % n
     if u == 0 or v == 0:
         return True
     for _ in range(s - 1):
-        v, q_k = (v * v - 2 * q_k) % n, q_k * q_k % n
+        u, v = 2 * u * v % n, (v * v + D * (u * u)) % n
         if v == 0:
             return True
     return False

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _show
 from .keys import KeyMaterial
 
 __all__ = ["PrngState", "digit_stream", "pack_bits_hex", "prng_init", "prng_next"]
@@ -28,7 +28,7 @@ class PrngState:
 
     def __post_init__(self):
         if self.n < 2:
-            raise InvalidArgumentError(f"modulus must be >= 2, got {self.n}")
+            raise InvalidArgumentError(f"modulus must be >= 2, got {_show(self.n)}")
 
 
 def prng_init(key: KeyMaterial, seed: int) -> PrngState:
@@ -39,9 +39,9 @@ def prng_init(key: KeyMaterial, seed: int) -> PrngState:
         raise InvalidArgumentError("generator needs a private key with nine cube roots of 1")
     n = key.n
     if not 1 < seed < n:
-        raise InvalidArgumentError(f"seed must be in (1, {n}), got {seed}")
+        raise InvalidArgumentError(f"seed must be in (1, {_show(n)}), got {_show(seed)}")
     if math.gcd(seed, n) != 1:
-        raise InvalidArgumentError(f"seed {seed} shares a factor with the modulus")
+        raise InvalidArgumentError(f"seed {_show(seed)} shares a factor with the modulus")
     return PrngState(n=n, s=seed)
 
 
@@ -55,10 +55,10 @@ def digit_stream(key: KeyMaterial, seed: int, radix: int, count: int) -> list[in
     """First `count` output digits for (key, seed, radix); the seed itself is
     never emitted."""
     if count < 0:
-        raise InvalidArgumentError(f"count must be >= 0, got {count}")
+        raise InvalidArgumentError(f"count must be >= 0, got {_show(count)}")
     state = prng_init(key, seed)
     if not 2 <= radix < state.n:
-        raise InvalidArgumentError(f"radix must be in [2, {state.n}), got {radix}")
+        raise InvalidArgumentError(f"radix must be in [2, {_show(state.n)}), got {_show(radix)}")
     digits = []
     for _ in range(count):
         state, value = prng_next(state)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _show
 from .modular import _primitive_unity_root, crt_combine, is_probable_prime
 
 __all__ = [
@@ -32,7 +32,7 @@ class UnityRootSet:
 
     def __post_init__(self):
         if self.order not in (2, 3):
-            raise InvalidArgumentError(f"unsupported root order {self.order}")
+            raise InvalidArgumentError(f"unsupported root order {_show(self.order)}")
         if (list(self.roots) != sorted(set(self.roots)) or self.roots[:1] != (1,)
                 or self.roots[-1] >= self.modulus):
             raise InvalidArgumentError(
@@ -41,7 +41,7 @@ class UnityRootSet:
         for u in self.roots:
             if pow(u, self.order, self.modulus) != 1:
                 raise InvalidArgumentError(
-                    f"{u} is not an order-{self.order} root of 1 mod {self.modulus}"
+                    f"{_show(u)} is not an order-{self.order} root of 1 mod {_show(self.modulus)}"
                 )
 
     def __len__(self) -> int:
@@ -53,7 +53,7 @@ class UnityRootSet:
 
 def _require_odd_prime(p: int) -> None:
     if p < 3 or p % 2 == 0 or not is_probable_prime(p):
-        raise InvalidArgumentError(f"{p} is not an odd prime")
+        raise InvalidArgumentError(f"{_show(p)} is not an odd prime")
 
 
 def _garner_product(k: int, p: int, q: int, roots_p: tuple, roots_q: tuple) -> UnityRootSet:

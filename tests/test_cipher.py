@@ -1,7 +1,11 @@
+import builtins
 import math
 
 import pytest
 
+import cubetag.cipher
+import cubetag.modular
+import cubetag.roots
 from cubetag import (
     InvalidCiphertextError,
     InvalidMessageError,
@@ -231,6 +235,34 @@ class TestRootCountAgainstRabin:
             assert ct.c == cts[0].c
             assert serialize_ciphertext(ct) == f"c={ct.c}\n" + f"tag={ct.tag}\n"
             assert len(f"tag={ct.tag}\n") == 6
+
+    # The exponentiations each op makes, counted for the messages 2, 3, 5 and 7: those whose
+    # exponent is above 2**64, so not a cube or a square. Encrypting makes none. Decrypting makes
+    # one per factor in the cubic modes; the SQUARE key's factors have 4 | p-1 and 16 | q-1, so a
+    # wrong first guess adds the non-residue search and the correction's generator.
+    @pytest.mark.parametrize("mode, decrypt_counts", [
+        (KeyMode.CUBIC3_PRIME, [1, 1, 1, 1]), (KeyMode.CUBIC3_COMPOSITE, [2, 2, 2, 2]),
+        (KeyMode.CUBIC9_COMPOSITE, [2, 2, 2, 2]), (KeyMode.SQUARE_COMPOSITE, [4, 2, 9, 11]),
+    ])
+    def test_exponentiations_per_op(self, mode, decrypt_counts, monkeypatch):
+        key = generate_key(mode, bits=1024, seed=1)
+        exponents = []
+
+        def counting_pow(base, exponent, modulus=None):
+            if exponent > 1 << 64:
+                exponents.append(exponent)
+            return builtins.pow(base, exponent, modulus)
+
+        for module in (cubetag.modular, cubetag.cipher, cubetag.roots):
+            monkeypatch.setattr(module, "pow", counting_pow, raising=False)
+        counts = []
+        for m in (2, 3, 5, 7):
+            ct = encrypt(m, key)
+            assert exponents == []
+            assert decrypt(ct, key) == m
+            counts.append(len(exponents))
+            exponents.clear()
+        assert counts == decrypt_counts
 
 
 class TestSquareMode:

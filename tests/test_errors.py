@@ -1,5 +1,6 @@
 """Every failure the package raises reaches a library caller as a CubeTagError."""
 
+import reprlib
 import sys
 
 import pytest
@@ -7,17 +8,28 @@ import pytest
 from cubetag import (
     CubeTagError,
     InvalidArgumentError,
+    InvalidCiphertextError,
+    InvalidMessageError,
     KeyFileError,
+    KeyGenerationError,
+    KeyMaterial,
     KeyMode,
+    NotInvertibleError,
     PrngState,
+    TaggedCiphertext,
     UnityRootSet,
     cube_root_by_exponent,
+    decrypt,
     digit_stream,
+    encrypt,
+    generate_key,
     key_from_factors,
+    mod_inverse,
     parse_ciphertext,
     parse_key,
     play_round,
     prng_next,
+    serialize_key,
 )
 
 
@@ -39,19 +51,59 @@ def test_invalid_arguments_are_typed(key77, key91):
         assert isinstance(info.value, ValueError)
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")
-def test_value_past_a_lowered_conversion_limit_names_its_line():
-    # canonical decimal within the formats' 4300 digits, past the interpreter's limit
-    value = "7" * 700
+@pytest.fixture
+def lowered_int_str_limit():
+    """Lower the interpreter's int/str conversion limit to its least, 640 digits, then restore it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str conversion limit")
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
-    try:
-        for parse, text, line in (
-            (lambda t: parse_ciphertext(t, KeyMode.CUBIC3_COMPOSITE), f"c={value}\ntag=1\n", 1),
-            (parse_key, f"mode=CUBIC3_COMPOSITE\nn={value}\n", 2),
-        ):
-            with pytest.raises(KeyFileError) as info:
-                parse(text)
-            assert info.value.line == line
-    finally:
-        sys.set_int_max_str_digits(old)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_value_past_a_lowered_conversion_limit_names_its_line(lowered_int_str_limit):
+    # canonical decimal within the formats' 4300 digits, past the interpreter's limit
+    value = "7" * 700
+    for parse, text, line in (
+        (lambda t: parse_ciphertext(t, KeyMode.CUBIC3_COMPOSITE), f"c={value}\ntag=1\n", 1),
+        (parse_key, f"mode=CUBIC3_COMPOSITE\nn={value}\n", 2),
+    ):
+        with pytest.raises(KeyFileError) as info:
+            parse(text)
+        assert info.value.line == line
+
+
+@pytest.fixture(scope="module")
+def key2400():
+    """A key whose n (723 digits) and factors (362) print only under a limit above 640 digits."""
+    return generate_key(KeyMode.CUBIC3_COMPOSITE, bits=2400, seed=1)
+
+
+# Each call formats an int past the lowered limit into a message or a file.
+PAST_THE_LIMIT = {
+    "encrypt": (lambda key: encrypt(key.n + 1, key), InvalidMessageError),
+    "decrypt": (lambda key: decrypt(TaggedCiphertext(key.n + 5, 1, key.mode), key),
+                InvalidCiphertextError),
+    "serialize_key": (serialize_key, InvalidArgumentError),
+    "mod_inverse": (lambda key: mod_inverse(key.p, key.n), NotInvertibleError),
+    "KeyMaterial": (lambda key: KeyMaterial(KeyMode.CUBIC9_COMPOSITE, key.n, key.p, key.q),
+                    KeyGenerationError),
+}
+
+
+@pytest.mark.parametrize("call, error", PAST_THE_LIMIT.values(), ids=PAST_THE_LIMIT)
+def test_ints_past_a_lowered_conversion_limit_raise_typed_errors(
+        key2400, lowered_int_str_limit, call, error):
+    with pytest.raises(error) as info:
+        call(key2400)
+    assert "-bit int>" in str(info.value) or "file values" in str(info.value)
+
+
+def test_messages_show_ints_as_reprlib_abridges_them():
+    from cubetag.errors import _show
+
+    # so a message's length is bounded, and a desk-scale message shows the whole value
+    for value in (0, 77, -77, 10**39, 10**40, -(10**40), 7**400):
+        assert _show(value) == reprlib.repr(value)
+    assert str(NotInvertibleError(7, 77, 7)) == "7 is not invertible mod 77 (gcd 7)"

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import re
+import reprlib
 import sys
 from dataclasses import replace
 
@@ -440,8 +442,14 @@ class TestKeyFiles:
             ("mode=CUBIC3_COMPOSITE\nn=147\np=21\nq=7\nphi=120\nalpha=2\n", 21, 3),
             # 115 = 5 * 23 fits prime mode's constraint, so its primality is tested
             ("mode=CUBIC3_PRIME\nn=115\nphi=114\nalpha=2\n", 115, 2),
+            # a 55-digit factor, which the message shows abridged
+            (f"mode=CUBIC3_COMPOSITE\nn={7 * _LONG}\np=7\nq={_LONG}\nphi={6 * (_LONG - 1)}\n"
+             "alpha=2\n", _LONG, 4),
+            (f"mode=CUBIC3_COMPOSITE\nn={7 * _LONG}\np={_LONG}\nq=7\nphi={6 * (_LONG - 1)}\n"
+             "alpha=2\n", _LONG, 3),
         ):
-            with pytest.raises(KeyFileError, match=f"{factor} is not an odd prime") as info:
+            message = f"{reprlib.repr(factor)} is not an odd prime"
+            with pytest.raises(KeyFileError, match=re.escape(message)) as info:
                 parse_key(text)
             assert info.value.line == line
 
@@ -508,6 +516,7 @@ class TestKeyFiles:
 # bound (~3.3e24), so only the Baillie-PSW test above it can expose it as composite.
 _PRIME_A, _PRIME_B = 35184372088891, 36283883716649
 _COMPOSITE = _PRIME_A * _PRIME_B
+_LONG = ((1 << 89) - 1) * ((1 << 61) - 1) * 998244353  # 2 mod 3, so 3 || phi with p = 7
 
 
 @pytest.fixture(scope="module")

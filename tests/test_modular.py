@@ -15,7 +15,7 @@ from cubetag import (
     kth_root_mod_prime,
     mod_inverse,
 )
-from cubetag.modular import _baillie_psw, _strong_lucas, _strong_probable_prime
+from cubetag.modular import _baillie_psw, _jacobi, _strong_lucas, _strong_probable_prime
 from oracles import sieve, squares_mod, trial_division_prime
 from shaped_primes import SHAPED_PRIMES
 
@@ -246,6 +246,66 @@ class TestIsProbablePrime:
     def test_spot_check_against_trial_division(self):
         for n in range(100_000, 100_400):
             assert is_probable_prime(n) == trial_division_prime(n)
+
+
+def _reference_strong_lucas(n):
+    """The strong Lucas test as first written: U_k, V_k and Q**k, halved mod n at each set bit.
+
+    The reference for _strong_lucas, whose chain carries a unit multiple of (U_k, V_k) instead.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (symbol := _jacobi(D, n)) != -1:
+        if symbol == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = d * 2**s, d odd
+    d = (n + 1) >> s
+    u, v, q_k = 1, 1, Q % n  # U_k, V_k, Q**k for k = 1, the top bit of d
+    for bit in bin(d)[3:]:
+        u, v, q_k = u * v % n, (v * v - 2 * q_k) % n, q_k * q_k % n  # k -> 2k
+        if bit == "1":  # k -> k + 1: U = (U + V)/2, V = (D*U + V)/2
+            u, v = (u + v) % n, (D * u + v) % n
+            u = (u + n if u & 1 else u) >> 1
+            v = (v + n if v & 1 else v) >> 1
+            q_k = q_k * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, q_k = (v * v - 2 * q_k) % n, q_k * q_k % n
+        if v == 0:
+            return True
+    return False
+
+
+def _lucas_disagreements(limit):
+    return [n for n in range(3, limit, 2) if _strong_lucas(n) != _reference_strong_lucas(n)]
+
+
+class TestStrongLucasChain:
+    """The unit-scaled chain gives the reference chain's verdict on every input."""
+
+    def test_agrees_with_reference_below_100k(self):
+        assert _lucas_disagreements(100_000) == []
+
+    @pytest.mark.slow
+    def test_agrees_with_reference_below_1m(self):
+        assert _lucas_disagreements(1_000_000) == []
+
+    def test_pseudoprimes_below_100k_are_exactly_these(self):
+        # the strong Lucas pseudoprimes of Selfridge's method A (Baillie & Wagstaff 1980)
+        prime_set = set(sieve(100_000))
+        assert [n for n in range(3, 100_000, 2) if _strong_lucas(n) and n not in prime_set] == [
+            5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439]
+
+    def test_agrees_with_reference_at_real_sizes(self):
+        # every shaped prime of 512 or 1024 bits passes; its products with another or with 7 fail
+        primes = sorted(p for p in SHAPED_PRIMES.values() if p.bit_length() <= 1024)
+        for p, q in zip(primes, primes[1:] + primes[:1]):
+            for n in (p, p * q, p * 7):
+                assert _strong_lucas(n) == _reference_strong_lucas(n) == (n == p)
 
 
 def _core_agrees_with_sieve(limit):
