@@ -7,6 +7,8 @@ exist where callers need to distinguish the failure, e.g. a failed inversion
 modulo a composite reveals a factor.
 """
 
+import reprlib
+
 __all__ = [
     "CubeTagError", "InvalidArgumentError", "InvalidCiphertextError",
     "InvalidMessageError", "KeyFileError", "KeyGenerationError", "NonResidueError",
@@ -14,9 +16,11 @@ __all__ = [
 ]
 
 
-def _show(value: int) -> str:
-    """An int as every message shows it: its decimal, abridged past 40 characters as
-    ``reprlib.repr`` abridges it, or past the interpreter's int/str limit its bit length."""
+def _show(value: object) -> str:
+    """A value as messages show it: a non-int as ``reprlib.repr`` shows it; an int as its decimal,
+    abridged past 40 characters like reprlib, or past the int/str limit as its bit length."""
+    if not isinstance(value, int):
+        return reprlib.repr(value)
     try:
         text = str(value)
     except ValueError:

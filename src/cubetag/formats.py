@@ -3,10 +3,9 @@ in LF. A reader requires a file to read exactly as its writer writes the value t
 so every file that parses re-serializes to the same bytes. Package-internal, not re-exported."""
 
 import re
-import reprlib
 from itertools import zip_longest
 
-from .errors import InvalidArgumentError, KeyFileError
+from .errors import InvalidArgumentError, KeyFileError, _show
 
 # Canonical ASCII decimal: no sign, no leading zero, at most 4300 digits (Python's default
 # int/str limit), so below DECIMAL_BOUND. The longest file is six lines of alpha=<4300 digits>.
@@ -42,7 +41,7 @@ def decimal_field(lines: list[str], index: int, name: str) -> int:
     line = lines[index]
     if not (line.startswith(name + "=") and _DECIMAL.fullmatch(line, len(name) + 1)):
         raise KeyFileError(
-            f"expected {name}=<canonical decimal>, got {reprlib.repr(line)}", line=index + 1
+            f"expected {name}=<canonical decimal>, got {_show(line)}", line=index + 1
         )
     try:
         return int(line[len(name) + 1:])
@@ -54,8 +53,8 @@ def require_lines(lines: list[str], serialized: str) -> None:
     """Require a file's lines to read exactly as `serialized`, naming the first that differs."""
     for number, (got, want) in enumerate(zip_longest(lines, file_lines(serialized)), 1):
         if got != want:
-            expected = "end of file" if want is None else reprlib.repr(want)
-            found = "end of file" if got is None else reprlib.repr(got)
+            expected = "end of file" if want is None else _show(want)
+            found = "end of file" if got is None else _show(got)
             raise KeyFileError(f"expected {expected}, got {found}", line=number)
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import enum
 import math
 import random
-import reprlib
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -105,11 +104,11 @@ class KeyMaterial:
 
     def __post_init__(self):
         if not isinstance(self.mode, KeyMode):
-            raise InvalidArgumentError(f"mode must be a KeyMode, got {reprlib.repr(self.mode)}")
+            raise InvalidArgumentError(f"mode must be a KeyMode, got {_show(self.mode)}")
         for name in ("n", "p", "q"):
             value = getattr(self, name)
             if not isinstance(value, int) and (name == "n" or value is not None):
-                raise InvalidArgumentError(f"{name} must be an int, got {reprlib.repr(value)}")
+                raise InvalidArgumentError(f"{name} must be an int, got {_show(value)}")
         if not 2 <= self.n < DECIMAL_BOUND:
             raise InvalidArgumentError(f"n must be at least 2 and at most {MAX_DIGITS} digits")
         if self.p is None:
@@ -229,7 +228,7 @@ def parse_key(text: str) -> KeyMaterial:
     lines = file_lines(text)
     mode = next((m for m in KeyMode if lines[0] == f"mode={m.value}"), None)
     if mode is None:
-        raise KeyFileError(f"expected mode=<key mode>, got {reprlib.repr(lines[0])}", line=1)
+        raise KeyFileError(f"expected mode=<key mode>, got {_show(lines[0])}", line=1)
     n = decimal_field(lines, 1, "n")
     if n < 2:
         raise KeyFileError(f"modulus {n} out of range", line=2)

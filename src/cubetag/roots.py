@@ -16,33 +16,17 @@ from dataclasses import dataclass
 from .errors import InvalidArgumentError, _show
 from .modular import _primitive_unity_root, crt_combine, is_probable_prime
 
-__all__ = [
-    "UnityRootSet", "cube_roots_of_unity_composite", "cube_roots_of_unity_prime",
-    "square_roots_of_unity_composite",
-]
+__all__ = ["cube_roots_of_unity_composite", "cube_roots_of_unity_prime",
+           "square_roots_of_unity_composite"]
 
 
 @dataclass(frozen=True)
 class UnityRootSet:
-    """Ascending, duplicate-free k-th roots of 1 for a fixed modulus."""
+    """The roots of 1 mod `modulus`, ascending from 1. Package-internal and built only by
+    the routines below, so never re-checked: the tests hold its invariants."""
 
     modulus: int
-    order: int
     roots: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.order not in (2, 3):
-            raise InvalidArgumentError(f"unsupported root order {_show(self.order)}")
-        if (list(self.roots) != sorted(set(self.roots)) or self.roots[:1] != (1,)
-                or self.roots[-1] >= self.modulus):
-            raise InvalidArgumentError(
-                "roots must be ascending, unique, start at 1 and lie below the modulus"
-            )
-        for u in self.roots:
-            if pow(u, self.order, self.modulus) != 1:
-                raise InvalidArgumentError(
-                    f"{_show(u)} is not an order-{self.order} root of 1 mod {_show(self.modulus)}"
-                )
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -56,10 +40,10 @@ def _require_odd_prime(p: int) -> None:
         raise InvalidArgumentError(f"{_show(p)} is not an odd prime")
 
 
-def _garner_product(k: int, p: int, q: int, roots_p: tuple, roots_q: tuple) -> UnityRootSet:
-    """The k-th roots of 1 mod p*q: every pair of per-prime roots, joined by CRT."""
+def _garner_product(p: int, q: int, roots_p: tuple, roots_q: tuple) -> UnityRootSet:
+    """The roots of 1 mod p*q: every pair of per-prime roots, joined by CRT."""
     combined = sorted(crt_combine(rp, rq, p, q) for rp in roots_p for rq in roots_q)
-    return UnityRootSet(p * q, k, tuple(combined))
+    return UnityRootSet(p * q, tuple(combined))
 
 
 def cube_roots_of_unity_prime(p: int) -> UnityRootSet:
@@ -71,23 +55,23 @@ def cube_roots_of_unity_prime(p: int) -> UnityRootSet:
     """
     _require_odd_prime(p)
     if p % 3 != 1:
-        return UnityRootSet(p, 3, (1,))
+        return UnityRootSet(p, (1,))
     _, z = _primitive_unity_root(p, 3)
-    return UnityRootSet(p, 3, tuple(sorted((1, z, z * z % p))))
+    return UnityRootSet(p, tuple(sorted((1, z, z * z % p))))
 
 
 def cube_roots_of_unity_composite(p: int, q: int) -> UnityRootSet:
     """Cube roots of 1 mod p*q, one per pair of per-prime roots: 1, 3 or 9 of them."""
     _require_odd_prime(p)
     _require_odd_prime(q)
-    return _garner_product(3, p, q, *(cube_roots_of_unity_prime(f).roots for f in (p, q)))
+    return _garner_product(p, q, *(cube_roots_of_unity_prime(f).roots for f in (p, q)))
 
 
 def square_roots_of_unity_composite(p: int, q: int) -> UnityRootSet:
     """The four solutions of x**2 = 1 mod p*q for distinct odd primes p, q."""
     _require_odd_prime(p)
     _require_odd_prime(q)
-    return _garner_product(2, p, q, (1, p - 1), (1, q - 1))
+    return _garner_product(p, q, (1, p - 1), (1, q - 1))
 
 
 def _unity_roots(order: int, factors: tuple[int, ...]) -> UnityRootSet:

@@ -17,8 +17,8 @@ from cubetag import (
     NotInvertibleError,
     PrngState,
     TaggedCiphertext,
-    UnityRootSet,
     cube_root_by_exponent,
+    cube_roots_of_unity_composite,
     decrypt,
     digit_stream,
     encrypt,
@@ -40,7 +40,7 @@ def test_invalid_arguments_are_typed(key77, key91):
         lambda: cube_root_by_exponent(2, key91),  # 9 | phi: no inverse exponent
         lambda: key_from_factors(KeyMode.CUBIC3_COMPOSITE, 7, 9),  # 9 is not prime
         lambda: play_round(key77, 2, 1, 1),  # three roots, the game needs nine
-        lambda: UnityRootSet(0, 3, (1,)),  # modulus below 2
+        lambda: cube_roots_of_unity_composite(7, 7),  # crt moduli must be coprime
         lambda: prng_next(PrngState(0, 2)),  # modulus below 2
     )
     for probe in probes:
@@ -89,6 +89,7 @@ PAST_THE_LIMIT = {
     "mod_inverse": (lambda key: mod_inverse(key.p, key.n), NotInvertibleError),
     "KeyMaterial": (lambda key: KeyMaterial(KeyMode.CUBIC9_COMPOSITE, key.n, key.p, key.q),
                     KeyGenerationError),
+    "KeyMaterial mode": (lambda key: KeyMaterial(key.n, 5), InvalidArgumentError),
 }
 
 

@@ -1,11 +1,12 @@
+import math
+
 import pytest
 
 from cubetag import (
-    InvalidArgumentError,
     KeyMode,
-    UnityRootSet,
     cube_roots_of_unity_composite,
     cube_roots_of_unity_prime,
+    generate_key,
     key_from_factors,
     square_roots_of_unity_composite,
 )
@@ -85,6 +86,12 @@ class TestCubeRootsComposite:
             n = root_set.modulus
             assert {u * u % n for u in root_set} == set(root_set.roots)
 
+    def test_smallest_nontrivial(self):
+        # a key's alpha is the smallest root above 1; a bijective prime has none
+        assert cube_roots_of_unity_composite(7, 11).roots[1] == 23
+        assert key_from_factors(KeyMode.CUBIC3_COMPOSITE, 7, 11).alpha == 23
+        assert cube_roots_of_unity_prime(11).roots == (1,)
+
     def test_nontrivial_roots_are_mutual_squares(self):
         # the square of each nontrivial root is the other one, never itself
         for p, q in [(7, 11), (3, 7), (5, 13), (3, 31)]:
@@ -124,43 +131,6 @@ class TestSquareRootsComposite:
             square_roots_of_unity_composite(11, 11)
 
 
-class TestUnityRootSetValidation:
-    def test_unsorted_rejected(self):
-        with pytest.raises(ValueError):
-            UnityRootSet(31, 3, (1, 25, 5))
-
-    def test_missing_one_rejected(self):
-        with pytest.raises(ValueError):
-            UnityRootSet(31, 3, (5, 25))
-
-    def test_non_root_rejected(self):
-        with pytest.raises(ValueError):
-            UnityRootSet(31, 3, (1, 2, 25))
-
-    def test_bad_order_rejected(self):
-        with pytest.raises(ValueError):
-            UnityRootSet(31, 5, (1,))
-
-    def test_modulus_below_two_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            UnityRootSet(0, 3, (1,))
-
-    def test_residue_at_or_above_modulus_rejected(self):
-        # 8 = 1 mod 7, so only the canonical range check catches it
-        with pytest.raises(InvalidArgumentError):
-            UnityRootSet(7, 3, (1, 8))
-
-    def test_negative_residue_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            UnityRootSet(7, 3, (-6, 1))
-
-    def test_smallest_nontrivial(self):
-        # a key's alpha is the smallest root above 1; a bijective prime has none
-        assert cube_roots_of_unity_composite(7, 11).roots[1] == 23
-        assert key_from_factors(KeyMode.CUBIC3_COMPOSITE, 7, 11).alpha == 23
-        assert cube_roots_of_unity_prime(11).roots == (1,)
-
-
 # A 2048-bit prime's primality test (Baillie-PSW) takes a few tenths of a second.
 _SHAPES = [pytest.param(shape, id="-".join(map(str, shape))) for shape in sorted(SHAPED_PRIMES)]
 
@@ -188,3 +158,32 @@ class TestRealSizes:
         p = SHAPED_PRIMES[512, 1, 0]
         squares = square_roots_of_unity_composite(p, q).roots
         assert len(squares) == 4 and all(u * u % (p * q) == 1 for u in squares)
+
+
+def _assert_unity_roots(key):
+    """What the root routines build by construction, and no runtime check re-verifies."""
+    roots, n, k = key.unity_roots.roots, key.n, key.mode.exponent
+    assert list(roots) == sorted(set(roots))
+    assert roots[0] == 1 and roots[-1] < n
+    assert all(pow(u, k, n) == 1 for u in roots)
+    assert len(roots) == math.prod(math.gcd(k, f - 1) for f in key.factors)
+
+
+class TestKeyRootInvariants:
+    """Every key's roots of 1 are ascending, distinct, from 1, below n and all of them."""
+
+    @pytest.mark.parametrize("bits", [256, 1024])
+    @pytest.mark.parametrize("mode", list(KeyMode), ids=lambda mode: mode.name)
+    def test_generated_keys(self, mode, bits):
+        for seed in (1, 2, 3):
+            _assert_unity_roots(generate_key(mode, bits, seed))
+
+    # Each pair of same-size shaped primes with 9 | p-1 in one factor, under each mode whose
+    # constraint it meets: 3 or 9 cube roots, and 4 square roots.
+    @pytest.mark.parametrize("bits", [512, 1024, 2048])
+    @pytest.mark.parametrize("mode", [KeyMode.CUBIC9_COMPOSITE, KeyMode.SQUARE_COMPOSITE],
+                             ids=lambda mode: mode.name)
+    def test_shaped_keys_with_nine_dividing_a_totient(self, mode, bits):
+        for s2, s3 in ((1, 0), (1, 1)):
+            _assert_unity_roots(key_from_factors(mode, SHAPED_PRIMES[bits, s2, s3],
+                                                 SHAPED_PRIMES[bits, 2, 2]))
