@@ -63,12 +63,14 @@ def crt_combine(residue_p: int, residue_q: int, p: int, q: int) -> int:
     return residue_q + q * ((residue_p - residue_q) * pow(q, -1, p) % p)
 
 
-def _primitive_unity_root(p: int, k: int) -> tuple[int, int]:
-    """The least k-th non-residue g of p, and zeta = g**((p-1)/k), a primitive k-th root of 1."""
+def _primitive_unity_root(p: int, k: int, s: int, t: int) -> tuple[int, int]:
+    """For p-1 = k**s * t, s >= 1, and g the least k-th non-residue: g**t, of order k**s when k
+    does not divide t, and zeta = (g**t)**(k**(s-1)) = g**((p-1)/k), a primitive k-th root of 1.
+    That g is prime (residues are closed under products), so g runs 2, 3, 5, 7, 9, ..."""
     g = 2
-    while (zeta := pow(g, (p - 1) // k, p)) == 1:
-        g += 1
-    return g, zeta
+    while (zeta := pow(generator := pow(g, t, p), k ** (s - 1), p)) == 1:
+        g += 1 + g % 2
+    return generator, zeta
 
 
 def kth_root_mod_prime(c: int, p: int, k: int) -> int:
@@ -78,9 +80,10 @@ def kth_root_mod_prime(c: int, p: int, k: int) -> int:
     guess x = c**(k^-1 mod t). The guess is a root whenever s <= 1 and c is a
     residue; otherwise x**k / c lies in the subgroup generated by g**t, g the
     least k-th non-residue, and x is corrected there one base-k digit at a
-    time. For k = 2 this is Tonelli-Shanks. p must be prime (not tested):
-    the result is a verified root, else a CubeTagError is raised (for p prime,
-    NonResidueError exactly when c has no k-th root).
+    time against zeta = (g**t)**(k**(s-1)). For k = 2 this is Tonelli-Shanks.
+    p must be prime (not tested): the result is a verified root, else a
+    CubeTagError is raised (for p prime, NonResidueError exactly when c has
+    no k-th root).
     """
     if k not in (2, 3):
         raise InvalidArgumentError(f"root order must be 2 or 3, got {_show(k)}")
@@ -96,8 +99,11 @@ def kth_root_mod_prime(c: int, p: int, k: int) -> int:
     if (x_k := pow(x, k, p)) == c:
         return x
     error = x_k * mod_inverse(c, p) % p  # x**k / c
-    g, zeta = _primitive_unity_root(p, k)
-    generator = pow(g, t, p)
+    no_root = NonResidueError(
+        f"{_show(c)} has no {'square' if k == 2 else 'cube'} root mod {_show(p)}")
+    if s <= 1:  # then the guess is a root of every residue mod a prime
+        raise no_root
+    generator, zeta = _primitive_unity_root(p, k, s, t)
     m = s  # for a residue, error has order below k**m; generator has order k**m
     while error != 1:
         top = error
@@ -107,8 +113,7 @@ def kth_root_mod_prime(c: int, p: int, k: int) -> int:
                 break
             top = lifted
         else:
-            raise NonResidueError(
-                f"{_show(c)} has no {'square' if k == 2 else 'cube'} root mod {_show(p)}")
+            raise no_root
         # top = error**(k**(i-1)) = zeta**j for some 0 < j < k.
         w = pow(generator, k ** (m - i - 1), p)
         generator, m = pow(w, k, p), i

@@ -3,7 +3,8 @@
 The state evolves as s -> s**3 mod n with n = p*q and nine cube roots of 1
 (3 divides both p-1 and q-1), so every state has nine cube-root preimages
 and inverting a step is as hard as the nine-root decryption problem. Output
-digits are the state reduced to a caller-chosen radix (2 for bits).
+digits are the state reduced to a caller-chosen radix (2 for bits); the key
+holder steps modulo p and q and joins each state by Garner's CRT.
 
 Small moduli cycle quickly (mod 91 the state enters the (8, 57) cycle); that
 is fine for testing and inherent to desk-scale parameters. Seeds equal to a
@@ -52,17 +53,21 @@ def prng_next(state: PrngState) -> tuple[PrngState, int]:
 
 
 def digit_stream(key: KeyMaterial, seed: int, radix: int, count: int) -> list[int]:
-    """First `count` output digits for (key, seed, radix); the seed itself is
-    never emitted."""
+    """First `count` output digits for (key, seed, radix): prng_next's states mod radix, the
+    seed never emitted. Each step cubes a = s mod p and b = s mod q, and the digit is Garner's
+    s = b + q*((a - b)*(q^-1 mod p) mod p) reduced mod radix, s itself never formed."""
     if count < 0:
         raise InvalidArgumentError(f"count must be >= 0, got {_show(count)}")
-    state = prng_init(key, seed)
-    if not 2 <= radix < state.n:
-        raise InvalidArgumentError(f"radix must be in [2, {_show(state.n)}), got {_show(radix)}")
+    n = prng_init(key, seed).n
+    if not 2 <= radix < n:
+        raise InvalidArgumentError(f"radix must be in [2, {_show(n)}), got {_show(radix)}")
+    p, q = key.factors
+    q_inv, q_radix = pow(q, -1, p), q % radix
+    a = b = seed
     digits = []
     for _ in range(count):
-        state, value = prng_next(state)
-        digits.append(value % radix)
+        a, b = pow(a, 3, p), pow(b, 3, q)
+        digits.append((b + q_radix * ((a - b) * q_inv % p)) % radix)
     return digits
 
 

@@ -56,7 +56,7 @@ def cube_roots_of_unity_prime(p: int) -> UnityRootSet:
     _require_odd_prime(p)
     if p % 3 != 1:
         return UnityRootSet(p, (1,))
-    _, z = _primitive_unity_root(p, 3)
+    _, z = _primitive_unity_root(p, 3, 1, (p - 1) // 3)
     return UnityRootSet(p, tuple(sorted((1, z, z * z % p))))
 
 

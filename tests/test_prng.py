@@ -1,17 +1,29 @@
+import builtins
 import math
 
 import pytest
 
+import cubetag.prng
 from cubetag import (
     KeyMode,
     PrivateKeyRequiredError,
     digit_stream,
+    generate_key,
     key_from_factors,
     pack_bits_hex,
     prng_init,
     prng_next,
 )
-from oracles import kth_root_preimages
+from oracles import kth_root_preimages, sieve
+
+
+def _states(key, seed, count):
+    """The generator's definition: `count` states from iterating prng_next, mod n."""
+    state, states = prng_init(key, seed), []
+    for _ in range(count):
+        state, value = prng_next(state)
+        states.append(value)
+    return states
 
 
 class TestInit:
@@ -105,6 +117,46 @@ class TestStreams:
             assert len(preimages[value]) == 9
         # and the same holds across the whole image set
         assert all(len(roots) == 9 for roots in preimages.values())
+
+
+class TestPerPrimeStepping:
+    """digit_stream steps modulo p and q; its digits are the mod-n states reduced to the radix."""
+
+    def test_matches_definition_for_every_small_key_and_seed(self):
+        # every key with nine roots and n < 1000, both factor orders, every coprime seed
+        primes = [f for f in sieve(1000 // 7) if f % 3 == 1]
+        pairs = [(p, q) for p in primes for q in primes if p != q and p * q < 1000]
+        assert len(pairs) == 2 * 24
+        for p, q in pairs:
+            key = key_from_factors(KeyMode.CUBIC9_COMPOSITE, p, q)
+            for seed in range(2, key.n):
+                if math.gcd(seed, key.n) != 1:
+                    continue
+                states = _states(key, seed, 8)
+                for radix in (2, 3, 10, key.n - 1):
+                    expected = [s % radix for s in states]
+                    assert digit_stream(key, seed, radix, 8) == expected, (p, q, seed, radix)
+
+    @pytest.mark.parametrize("bits", [1024, 2048])
+    def test_matches_definition_at_real_size(self, bits):
+        key = generate_key(KeyMode.CUBIC9_COMPOSITE, bits=bits, seed=1)
+        for seed in (2, 12345, key.n - 2, key.n // 3):
+            states = _states(key, seed, 40)
+            for radix in (2, 10, 2**64 + 13):
+                assert digit_stream(key, seed, radix, 40) == [s % radix for s in states]
+
+    def test_never_reduces_mod_n(self, monkeypatch):
+        key = generate_key(KeyMode.CUBIC9_COMPOSITE, bits=1024, seed=1)
+        moduli = []
+
+        def recording_pow(base, exponent, modulus=None):
+            moduli.append(modulus)
+            return builtins.pow(base, exponent, modulus)
+
+        monkeypatch.setattr(cubetag.prng, "pow", recording_pow, raising=False)
+        digit_stream(key, 12345, 2, 100)
+        assert set(moduli) == set(key.factors)
+        assert key.n not in moduli
 
 
 class TestHexPacking:
