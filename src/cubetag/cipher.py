@@ -11,7 +11,7 @@ tagged element.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (InvalidArgumentError, InvalidCiphertextError, InvalidMessageError,
                      NonResidueError, TagRangeError, _show)
@@ -29,8 +29,7 @@ __all__ = [
 _TABLE_LIMIT = 1_000_000
 
 
-@dataclass(frozen=True)
-class TaggedCiphertext:
+class TaggedCiphertext(NamedTuple):
     c: int
     tag: int
     mode: KeyMode

@@ -10,7 +10,7 @@ event.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cipher import decrypt_candidates, encrypt
 from .errors import InvalidArgumentError
@@ -20,8 +20,7 @@ from .roots import UnityRootSet
 __all__ = ["GameRound", "RootGrouping", "partition_nine_roots", "play_round"]
 
 
-@dataclass(frozen=True)
-class RootGrouping:
+class RootGrouping(NamedTuple):
     """Four triples {1, x, x**2 mod n} covering a 9-element unity root set.
 
     Triples are ordered by their smallest non-1 element; 1 appears in every
@@ -40,8 +39,7 @@ def partition_nine_roots(roots: UnityRootSet) -> RootGrouping:
     return RootGrouping(tuple(groups))
 
 
-@dataclass(frozen=True)
-class GameRound:
+class GameRound(NamedTuple):
     """Transcript of one pick-a-group round.
 
     The sender's triple generates a 3-element companion set; `coset` says which

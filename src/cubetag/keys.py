@@ -11,11 +11,11 @@ them, the ``.pub`` variant only the mode and modulus. ``KeyMaterial.factors``
 is the one gate to the private part. A file is read back by rebuilding the
 key from its factors and requiring ``serialize_key`` to reproduce it.
 
-Every key is checked in ``KeyMaterial``, ``replace`` included, cheapest first:
-the types, the range of n, the factor count, distinctness, n against the factors'
-product, the mode's constraint, then each factor's primality. Proving the factors
-prime (Baillie-PSW above ~3.3e24) is the bulk of loading a key; each is tested
-once and kept as a proven prime, which later guards accept untested. A factor
+Every key is checked in ``KeyMaterial``'s constructor, the one way to build one,
+cheapest first: the types, the range of n, the factor count, distinctness, n against
+the factors' product, the mode's constraint, then each factor's primality. Proving
+the factors prime (Baillie-PSW above ~3.3e24) is the bulk of loading a key; each is
+tested once and kept as a proven prime, which later guards accept untested. A factor
 from ``generate_key`` arrives proven by its own search.
 """
 
@@ -24,8 +24,7 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import (InvalidArgumentError, KeyFileError, KeyGenerationError,
                      PrivateKeyRequiredError, _show)
@@ -52,8 +51,7 @@ class KeyMode(enum.Enum):
         return _MODES[self].exponent
 
 
-@dataclass(frozen=True)
-class _Mode:
+class _Mode(NamedTuple):
     exponent: int
     shapes: tuple[Callable[[int], bool], ...]  # one per factor keygen samples
     constraint: Callable[[int, int], bool]  # (p, phi) -> acceptable
@@ -86,23 +84,16 @@ _MODES = {
 }
 
 
-@dataclass(frozen=True)
 class KeyMaterial:
     """A key: the mode and n, and for a private key the factors.
 
-    The one place a key is checked, ``replace`` included (see the module docstring).
+    The one place a key is checked (see the module docstring); instances are immutable.
     ``unity_roots`` and ``alpha`` are derived from the factors, never passed in:
     ``alpha`` is the smallest nontrivial root of 1, and None in SQUARE mode.
     """
 
-    mode: KeyMode
-    n: int
-    p: int | None = None
-    q: int | None = None
-    alpha: int | None = field(default=None, init=False)
-    unity_roots: UnityRootSet | None = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
+    def __init__(self, mode: KeyMode, n: int, p: int | None = None, q: int | None = None):
+        vars(self).update(mode=mode, n=n, p=p, q=q, alpha=None, unity_roots=None)
         if not isinstance(self.mode, KeyMode):
             raise InvalidArgumentError(f"mode must be a KeyMode, got {_show(self.mode)}")
         for name in ("n", "p", "q"):
@@ -134,8 +125,27 @@ class KeyMaterial:
         factors = tuple(map(_ProvenPrime, factors))
         roots = _unity_roots(spec.exponent, factors)
         alpha = roots.roots[1] if "alpha" in spec.private_fields else None
-        for name, value in (*zip(("p", "q"), factors), ("alpha", alpha), ("unity_roots", roots)):
-            object.__setattr__(self, name, value)
+        vars(self).update(zip(("p", "q"), factors), alpha=alpha, unity_roots=roots)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"KeyMaterial is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through the checks
+        return KeyMaterial, (self.mode, self.n, self.p, self.q)
+
+    def __eq__(self, other):  # the derived fields follow from these four
+        if type(other) is not KeyMaterial:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in ("mode", "n", "p", "q", "alpha"))
+        return f"KeyMaterial({fields})"
 
     @property
     def factors(self) -> tuple[int, ...]:

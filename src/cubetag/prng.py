@@ -14,7 +14,7 @@ root of unity are permitted but produce constant streams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidArgumentError, _show
 from .keys import KeyMaterial
@@ -22,14 +22,9 @@ from .keys import KeyMaterial
 __all__ = ["PrngState", "digit_stream", "pack_bits_hex", "prng_init", "prng_next"]
 
 
-@dataclass(frozen=True)
-class PrngState:
+class PrngState(NamedTuple):
     n: int
     s: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise InvalidArgumentError(f"modulus must be >= 2, got {_show(self.n)}")
 
 
 def prng_init(key: KeyMaterial, seed: int) -> PrngState:
@@ -48,6 +43,8 @@ def prng_init(key: KeyMaterial, seed: int) -> PrngState:
 
 def prng_next(state: PrngState) -> tuple[PrngState, int]:
     """Advance one step; returns the new state and its value s' = s**3 mod n."""
+    if state.n < 2:
+        raise InvalidArgumentError(f"modulus must be >= 2, got {_show(state.n)}")
     s = pow(state.s, 3, state.n)
     return PrngState(n=state.n, s=s), s
 

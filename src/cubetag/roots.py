@@ -11,8 +11,6 @@ key's exponent and factor count pick the routine that builds its roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidArgumentError, _show
 from .modular import _primitive_unity_root, crt_combine, is_probable_prime
 
@@ -20,13 +18,14 @@ __all__ = ["cube_roots_of_unity_composite", "cube_roots_of_unity_prime",
            "square_roots_of_unity_composite"]
 
 
-@dataclass(frozen=True)
 class UnityRootSet:
     """The roots of 1 mod `modulus`, ascending from 1. Package-internal and built only by
     the routines below, so never re-checked: the tests hold its invariants."""
 
-    modulus: int
-    roots: tuple[int, ...]
+    __slots__ = ("modulus", "roots")
+
+    def __init__(self, modulus: int, roots: tuple[int, ...]):
+        self.modulus, self.roots = modulus, roots
 
     def __len__(self) -> int:
         return len(self.roots)
