@@ -6,10 +6,10 @@ follow from the factors. Each KeyMode's row in ``_MODES`` holds what sets
 the modes apart: the exponent, the factor shapes key generation samples,
 the totient constraint, and the private key-file fields.
 
-Both communicating parties hold the factors; the private key file carries
-them, the ``.pub`` variant only the mode and modulus. ``KeyMaterial.factors``
-is the one gate to the private part. A file is read back by rebuilding the
-key from its factors and requiring ``serialize_key`` to reproduce it.
+Both communicating parties hold the factors; the private key file carries them, the ``.pub``
+variant only the mode and modulus. ``KeyMaterial.factors`` is the one gate to the private part.
+A file is read back by rebuilding the key from its factors, with its alpha as a certificate of
+the roots checked against them, and requiring ``serialize_key`` to reproduce the file.
 
 Every key is checked in ``KeyMaterial``'s constructor, the one way to build one,
 cheapest first: the types, the range of n, the factor count, distinctness, n against
@@ -88,11 +88,12 @@ class KeyMaterial:
     """A key: the mode and n, and for a private key the factors.
 
     The one place a key is checked (see the module docstring); instances are immutable.
-    ``unity_roots`` and ``alpha`` are derived from the factors, never passed in:
-    ``alpha`` is the smallest nontrivial root of 1, and None in SQUARE mode.
+    ``unity_roots`` and ``alpha`` follow from the factors alone (``_alpha``, a file's, only
+    spares the root search): ``alpha`` is the smallest nontrivial root of 1, None in SQUARE mode.
     """
 
-    def __init__(self, mode: KeyMode, n: int, p: int | None = None, q: int | None = None):
+    def __init__(self, mode: KeyMode, n: int, p: int | None = None, q: int | None = None, *,
+                 _alpha=None):
         vars(self).update(mode=mode, n=n, p=p, q=q, alpha=None, unity_roots=None)
         if not isinstance(self.mode, KeyMode):
             raise InvalidArgumentError(f"mode must be a KeyMode, got {_show(self.mode)}")
@@ -123,7 +124,7 @@ class KeyMaterial:
         for factor in factors:
             _require_odd_prime(factor)
         factors = tuple(map(_ProvenPrime, factors))
-        roots = _unity_roots(spec.exponent, factors)
+        roots = _unity_roots(spec.exponent, factors, _alpha)
         alpha = roots.roots[1] if "alpha" in spec.private_fields else None
         vars(self).update(zip(("p", "q"), factors), alpha=alpha, unity_roots=roots)
 
@@ -170,9 +171,9 @@ class KeyMaterial:
         return KeyMaterial(mode=self.mode, n=self.n)
 
 
-def key_from_factors(mode: KeyMode, p: int, q: int | None = None) -> KeyMaterial:
+def key_from_factors(mode: KeyMode, p: int, q: int | None = None, *, _alpha=None) -> KeyMaterial:
     """The private key of `mode` with factors p and q (p alone in prime mode): see KeyMaterial."""
-    return KeyMaterial(mode, math.prod((p,) if q is None else (p, q)), p, q)
+    return KeyMaterial(mode, math.prod((p,) if q is None else (p, q)), p, q, _alpha=_alpha)
 
 
 def _random_prime(rng: random.Random, bits: int, accept) -> int:
@@ -229,11 +230,11 @@ def parse_key(text: str) -> KeyMaterial:
     """Parse a key file: two lines (mode, n) for a public key, else a private
     file that must read exactly as serialize_key writes the key its factors give.
 
-    Only mode, n and the factors are read; the factors are p= and q= (lines 3 and 4), or
-    n= (line 2) in prime mode, the one-factor case. n is compared with their product before
-    key_from_factors builds the one key they give, so each key has one private file, its
-    alpha the smallest nontrivial root. KeyFileError names the first line at fault; for
-    invalid factors, that of the factor a primality check refused, else the first factor's.
+    Only mode, n, the factors (p= and q=, lines 3 and 4, or n= in prime mode) and alpha are
+    read. n is compared with the factors' product before key_from_factors builds the one key
+    they give, sparing the root search where alpha certifies the roots. So each key has one
+    private file, its alpha the smallest nontrivial root. KeyFileError names the first line at
+    fault; for invalid factors, that of the factor a primality check refused, else the first's.
     """
     lines = file_lines(text)
     mode = next((m for m in KeyMode if lines[0] == f"mode={m.value}"), None)
@@ -249,9 +250,13 @@ def parse_key(text: str) -> KeyMaterial:
     names = ("mode", "n", *spec.private_fields)
     at = [i for i, name in enumerate(names) if name in ("n", "p", "q")][-len(spec.shapes):]
     factors = [decimal_field(lines, i, names[i]) for i in at]
+    try:  # alpha only certifies the roots: checked against the factors, and below as a line
+        alpha = decimal_field(lines, names.index("alpha"), "alpha")
+    except (ValueError, KeyFileError):  # this mode has no alpha= line, or the file no valid one
+        alpha = None
     try:  # a product too long for the n= line fails here, as invalid key material
         require_lines(lines[:2], f"{lines[0]}\n" + decimal_lines({"n": math.prod(factors)}))
-        key = key_from_factors(mode, *factors)
+        key = key_from_factors(mode, *factors, _alpha=alpha)
     except (ValueError, KeyGenerationError) as exc:
         refused = (i for i, f in zip(at, factors) if str(exc) == f"{_show(f)} is not an odd prime")
         raise KeyFileError(f"invalid key material: {exc}", line=next(refused, at[0]) + 1) from exc

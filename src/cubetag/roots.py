@@ -11,6 +11,8 @@ key's exponent and factor count pick the routine that builds its roots.
 
 from __future__ import annotations
 
+import math
+
 from .errors import InvalidArgumentError, _show
 from .modular import _primitive_unity_root, crt_combine, is_probable_prime
 
@@ -73,12 +75,17 @@ def square_roots_of_unity_composite(p: int, q: int) -> UnityRootSet:
     return _garner_product(p, q, (1, p - 1), (1, q - 1))
 
 
-def _unity_roots(order: int, factors: tuple[int, ...]) -> UnityRootSet:
+def _unity_roots(order: int, factors: tuple[int, ...], alpha=None) -> UnityRootSet:
     """A key's roots of 1: cube roots mod one prime, or roots of this order mod p*q.
 
-    The routines are looked up as module globals at call time, so a wrapper
-    installed on them sees every call made through here.
+    Where the factors give exactly three cube roots of 1, a nontrivial one `alpha` (a key file's)
+    certifies them as 1, alpha, alpha**2 with no search. The routines are looked up as module
+    globals at call time, so a wrapper installed on them sees every call made through here.
     """
+    if order == 3 and isinstance(alpha, int) and sum(f % 3 == 1 for f in factors) == 1:
+        n = math.prod(factors)
+        if 1 < alpha < n and (square := alpha * alpha % n) * alpha % n == 1:
+            return UnityRootSet(n, tuple(sorted((1, alpha, square))))
     if len(factors) == 1:
         return cube_roots_of_unity_prime(*factors)
     derive = square_roots_of_unity_composite if order == 2 else cube_roots_of_unity_composite

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cubetag.modular
+import cubetag.roots
 from cubetag import (
     CubeTagError,
     InvalidArgumentError,
@@ -33,6 +34,7 @@ from cubetag import (
 )
 from cubetag.formats import MAX_FILE_CHARS
 from oracles import kth_roots_of_unity, sieve
+from shaped_primes import SHAPED_PRIMES
 
 
 def _accepted_cubic_mode(p, q=None):
@@ -696,3 +698,195 @@ class TestSerializersRefuseWhatParsersRefuse:
         with pytest.raises(KeyFileError, match="at most 4300 digits") as info:
             parse_key(text)
         assert info.value.line == 3
+
+
+def _alpha_file(key):
+    """`key`'s private file up to its alpha= line, and that line's number."""
+    text = serialize_key(key)
+    return text[:text.rindex("alpha=")], text.count("\n")
+
+
+def _three_root_keys(limit):
+    """Every cubic key with n < limit and, by the oracle, exactly three cube roots of 1, with
+    them: prime mode, CUBIC3 pairs, and CUBIC9 pairs of a factor with 9 | f-1 and one not 1 mod
+    3, in both factor orders."""
+    primes = sieve(limit)[1:]
+    for p in primes:
+        if p % 4 == 3 and (p - 1) % 9 != 0 and len(roots := kth_roots_of_unity(p, 3)) == 3:
+            yield key_from_factors(KeyMode.CUBIC3_PRIME, p), roots
+    for p in primes:
+        for q in primes:
+            if p * q >= limit:
+                break
+            if p != q and len(roots := kth_roots_of_unity(p * q, 3)) == 3:
+                mode = KeyMode.CUBIC9_COMPOSITE if (p - 1) * (q - 1) % 9 == 0 else (
+                    KeyMode.CUBIC3_COMPOSITE)
+                yield key_from_factors(mode, p, q), roots
+
+
+def _check_alpha_certificates(limit):
+    """Each key's true file loads to the oracle's roots; every other alpha in [0, n+2), the
+    true one with leading zeros, and each nontrivial root plus n are refused at the alpha line.
+    Returns the kinds of key seen."""
+    kinds = set()
+    for key, roots in _three_root_keys(limit):
+        kinds.add((key.mode, key.p % 3 == 1))
+        head, line = _alpha_file(key)
+        assert tuple(parse_key(f"{head}alpha={key.alpha}\n").roots) == roots == (
+            1, key.alpha, key.alpha ** 2 % key.n)
+        others = [str(a) for a in range(key.n + 2) if a != key.alpha]
+        for alpha in others + [f"0{key.alpha}", f"00{key.alpha}", roots[1] + key.n,
+                               roots[2] + key.n]:
+            try:
+                parse_key(f"{head}alpha={alpha}\n")
+            except KeyFileError as exc:
+                assert exc.line == line, (key, alpha)
+            else:
+                raise AssertionError(f"alpha={alpha} accepted for {key!r}")
+        # a root plus n is no certificate: a file naming one is refused above either way,
+        # so the route itself is checked
+        for alpha in (roots[1] + key.n, roots[2] + key.n):
+            assert tuple(key_from_factors(key.mode, *key.factors, _alpha=alpha).roots) == roots
+    return kinds
+
+
+class TestAlphaCertificate:
+    """A key file's alpha, where the factors give three cube roots of 1, stands for all three
+    (1, alpha, alpha**2), so a load need not search for them; it is checked, never trusted."""
+
+    def test_sound_for_every_key_below_300(self):
+        kinds = _check_alpha_certificates(300)
+        # prime mode, and CUBIC3 and CUBIC9 pairs with the factor that is 1 mod 3 first or second
+        assert kinds == {(KeyMode.CUBIC3_PRIME, True)} | {
+            (mode, first) for mode in (KeyMode.CUBIC3_COMPOSITE, KeyMode.CUBIC9_COMPOSITE)
+            for first in (True, False)}
+
+    @pytest.mark.slow
+    def test_sound_for_every_key_below_10000(self):
+        assert len(_check_alpha_certificates(10_000)) == 5
+
+
+_NINE_DIVIDES_P_1, _TWO_MOD_3 = SHAPED_PRIMES[(512, 2, 2)], SHAPED_PRIMES[(512, 1, 0)]
+
+
+@st.composite
+def _three_root_keys_1024(draw):
+    """A 1024-bit key with exactly three cube roots of 1: prime mode, CUBIC3, or CUBIC9 from
+    stored primes (keygen samples no factor with 9 | p-1), in either order."""
+    mode = draw(st.sampled_from([KeyMode.CUBIC3_PRIME, KeyMode.CUBIC3_COMPOSITE,
+                                 KeyMode.CUBIC9_COMPOSITE]))
+    if mode is KeyMode.CUBIC9_COMPOSITE:
+        return key_from_factors(mode, *draw(st.permutations([_NINE_DIVIDES_P_1, _TWO_MOD_3])))
+    return generate_key(mode, bits=1024, seed=draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=5, deadline=None)
+@given(key=_three_root_keys_1024())
+def test_other_cube_roots_refused_at_real_size(key):
+    # alpha**2 is the other nontrivial root, n - alpha a sixth root, and a root plus n past n
+    (head, line), a, n = _alpha_file(key), key.alpha, key.n
+    assert len(key.roots) == 3
+    for alpha in (a * a % n, n - a, a + n, a * a % n + n):
+        with pytest.raises(KeyFileError, match="expected 'alpha=") as info:
+            parse_key(f"{head}alpha={alpha}\n")
+        assert info.value.line == line
+
+
+class TestReadingAlphaChangesNoError:
+    """Alpha is read leniently, before the factors are proven: a file is refused at the
+    same line, with the same message, as if alpha were not read."""
+
+    def test_alpha_past_a_lowered_int_str_limit(self, key77):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter has no int/str conversion limit")
+        text = serialize_key(key77).replace("alpha=23", "alpha=" + "7" * 700)
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(KeyFileError) as info:
+                parse_key(text)
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert info.value.line == 6
+        assert str(info.value) == "line 6: expected 'alpha=23', got 'alpha=777777...7777777777777'"
+
+    @pytest.mark.parametrize("alpha", ["", "x", "-2", "023", "2\u0667", "7" * 4301, "5", "2"],
+                             ids=["empty", "word", "sign", "zero", "non-ascii", "long", "5", "2"])
+    def test_non_prime_factor_named_whatever_the_alpha(self, alpha):
+        composite = (f"mode=CUBIC3_COMPOSITE\nn={_COMPOSITE * 13}\np={_COMPOSITE}\nq=13\n"
+                     f"phi={(_COMPOSITE - 1) * 12}\n")
+        for head, line in ((composite, 3),
+                           ("mode=CUBIC3_COMPOSITE\nn=147\np=7\nq=21\nphi=120\n", 4),
+                           ("mode=CUBIC3_PRIME\nn=115\nphi=114\n", 2)):
+            with pytest.raises(KeyFileError, match="is not an odd prime") as info:
+                parse_key(f"{head}alpha={alpha}\n")
+            assert info.value.line == line
+
+    def test_public_and_square_files_read_no_alpha(self, key77, key77_square, key91):
+        for key in (key77.public(), key91.public(), key77_square):
+            assert parse_key(serialize_key(key)) == key
+        # no alpha line is read where the format has none: it is refused as a line
+        for text, line, message in (
+            (serialize_key(key77_square) + "alpha=23\n", 6,
+             "expected end of file, got 'alpha=23'"),
+            (serialize_key(key77).replace("CUBIC3", "SQUARE"), 6,
+             "expected end of file, got 'alpha=23'"),
+            ("mode=CUBIC3_COMPOSITE\nn=77\nalpha=23\n", 3,
+             "expected p=<canonical decimal>, got 'alpha=23'"),
+        ):
+            with pytest.raises(KeyFileError) as info:
+                parse_key(text)
+            assert (info.value.line, str(info.value)) == (line, f"line {line}: {message}")
+
+
+@pytest.fixture(scope="module")
+def keys1024():
+    """One key per mode at 1024 bits, seed 1: every factor is above the deterministic bound."""
+    return {mode: generate_key(mode, bits=1024, seed=1) for mode in KeyMode}
+
+
+_LOAD_WORK = ((cubetag.modular, "_strong_lucas"), (cubetag.modular, "_strong_probable_prime"),
+              (cubetag.roots, "_primitive_unity_root"))
+
+
+@pytest.fixture
+def load_work(monkeypatch):
+    """Counts calls of a strong Lucas chain, a strong probable-prime round and a search for a
+    primitive root of unity; `load_work(call)` runs `call` and gives the three counts."""
+    counts = dict.fromkeys((name for _, name in _LOAD_WORK), 0)
+    for module, name in _LOAD_WORK:
+        def counting(*args, name=name, original=getattr(module, name)):
+            counts[name] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, counting)
+
+    def work(call):
+        before = dict(counts)
+        call()
+        return tuple(counts[name] - before[name] for name in counts)
+    return work
+
+
+class TestWorkPerKeyLoad:
+    """Counted work of one load, 1024-bit seed-1 keys: a base-2 round and a Lucas chain per
+    factor, and a non-residue search only for roots the file's alpha cannot certify."""
+
+    # the nine-root key's alpha fixes one of its two generators, so both its factors are
+    # searched; SQUARE's roots, 1 and -1 mod each factor, take no search
+    SEARCHES = {KeyMode.CUBIC3_PRIME: 0, KeyMode.CUBIC3_COMPOSITE: 0,
+                KeyMode.CUBIC9_COMPOSITE: 2, KeyMode.SQUARE_COMPOSITE: 0}
+    # from the factors alone, each factor with 3 | f-1 is searched
+    BUILT = {KeyMode.CUBIC3_PRIME: 1, KeyMode.CUBIC3_COMPOSITE: 1,
+             KeyMode.CUBIC9_COMPOSITE: 2, KeyMode.SQUARE_COMPOSITE: 0}
+
+    def test_file_load(self, keys1024, load_work):
+        for mode, key in keys1024.items():
+            text, count = serialize_key(key), len(key.factors)
+            assert load_work(lambda: parse_key(text)) == (count, count, self.SEARCHES[mode]), mode
+
+    def test_key_from_factors_searches(self, keys1024, load_work):
+        for mode, key in keys1024.items():
+            factors = [int(f) for f in key.factors]  # plain ints, so each is proven again
+            count = len(factors)
+            built = load_work(lambda: key_from_factors(mode, *factors))
+            assert built == (count, count, self.BUILT[mode]), mode

@@ -4,7 +4,10 @@ Usage: python3 tools/cli_op_times.py PARENT_SRC CHANGE_SRC OUT.json [--commits P
 
 Each row is one command: `python -c pass`, `import cubetag.cli`, `--version`,
 and keygen, encrypt, decrypt and roots for a 1024-bit key of each mode (rand
-and game on the nine-root key), as in the cli-1024 benchmark workload. Each of
+and game on the nine-root key), as in the cli-1024 benchmark workload, and
+roots for a 2048-bit key of each mode, whose time is mostly the key load, at
+the size of the stream-2048 workload's keys. The keys are generated once, with
+CHANGE_SRC, and both trees read copies of the same files. Each of
 12 repetitions runs each row once per tree, the order of the two trees
 alternating, with PYTHONDONTWRITEBYTECODE=1 so that each process compiles the
 package as a fresh checkout does. Both trees must print the same bytes and
@@ -18,6 +21,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -26,7 +30,7 @@ import time
 from pathlib import Path
 
 MODES = {"cubic3-prime": 4, "cubic3": 4, "cubic9": 5, "square": 4}  # CLI mode name: --seed
-BITS, REPS = 1024, 12
+BITS, ROOTS_BITS, REPS = 1024, 2048, 12
 
 
 def _commands() -> dict[str, list[str]]:
@@ -40,6 +44,8 @@ def _commands() -> dict[str, list[str]]:
                                    "--out", f"{mode}.ct"]
         rows[f"{mode} decrypt"] = ["-m", "cubetag", "decrypt", *key, "--in", f"{mode}.ct"]
         rows[f"{mode} roots"] = ["-m", "cubetag", "roots", *key]
+        rows[f"{mode} roots {ROOTS_BITS}"] = ["-m", "cubetag", "roots", "--key",
+                                              f"{mode}-{ROOTS_BITS}.key"]
     rows["cubic9 rand"] = ["-m", "cubetag", "rand", "--key", "cubic9.key", "--seed", "12345",
                            "--radix", "2", "--count", "4096", "--hex"]
     rows["cubic9 game"] = ["-m", "cubetag", "game", "--key", "cubic9.key", "--message", "12345",
@@ -70,12 +76,14 @@ def main() -> None:
     times = {name: {side: [] for side in trees} for name in rows}
     with tempfile.TemporaryDirectory() as tmp:
         work = {side: Path(tmp, side) for side in trees}
-        for side, path in work.items():
-            path.mkdir()
-            for mode, seed in MODES.items():
-                _run(trees["change"], path, ["-m", "cubetag", "keygen", "--mode", mode, "--bits",
-                                             str(BITS), "--seed", str(seed), "--out",
-                                             f"{mode}.key"])
+        keys = Path(tmp, "keys")
+        keys.mkdir()
+        for mode, seed in MODES.items():
+            for bits, name in ((BITS, f"{mode}.key"), (ROOTS_BITS, f"{mode}-{ROOTS_BITS}.key")):
+                _run(trees["change"], keys, ["-m", "cubetag", "keygen", "--mode", mode, "--bits",
+                                             str(bits), "--seed", str(seed), "--out", name])
+        for path in work.values():
+            shutil.copytree(keys, path)
         for rep in range(REPS):
             for name, command in rows.items():
                 outputs = {}
@@ -88,8 +96,8 @@ def main() -> None:
                 Path("/proc/cpuinfo").read_text().splitlines() if line.startswith("model name")),
                platform.processor())
     report = {"commits": dict(zip(trees, args.commits)), "python": platform.python_version(),
-              "cpu": cpu, "cpus": os.cpu_count(), "bits": BITS, "reps": REPS,
-              "env": "PYTHONDONTWRITEBYTECODE=1", "unit": "ms", "rows": {}}
+              "cpu": cpu, "cpus": os.cpu_count(), "bits": BITS, "roots_bits": ROOTS_BITS,
+              "reps": REPS, "env": "PYTHONDONTWRITEBYTECODE=1", "unit": "ms", "rows": {}}
     for name, sides in times.items():
         row = {}
         for side, values in sides.items():
