@@ -8,20 +8,41 @@ root. The package covers key generation under the totient divisibility
 constraints that control the root count, the unity-root and CRT machinery,
 the tagged cipher itself, a pick-a-group probability protocol over the
 nine-root case, and a cubic-iteration pseudorandom generator.
+
+The root re-exports each _EXPORTING module's __all__ but loads a module only when it is
+imported or one of the root's names is first used, so a CLI command loads only its own.
 """
+
+import sys
+from types import ModuleType
 
 __version__ = "0.1.0"
 
-from .cipher import *
-from .errors import *
-from .events import *
-from .keys import *
-from .modular import *
-from .prng import *
-from .roots import *
+_EXPORTING = ("cipher", "errors", "events", "keys", "modular", "prng", "roots")
 
-# Each star import above also binds its submodule, whose __all__ is its public surface.
-__all__ = (
-    cipher.__all__ + errors.__all__ + events.__all__ + keys.__all__
-    + modular.__all__ + prng.__all__ + roots.__all__
-)
+
+class _Root(ModuleType):
+    def __setattr__(self, name, value):
+        # The import system attaches a submodule to the root once it has run. Binding its exports
+        # then, not on first use, binds its own functions, never a wrapper patched over one later.
+        if name in _EXPORTING and name not in vars(self):
+            vars(self).update((export, getattr(value, export)) for export in value.__all__)
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Root
+
+
+def __getattr__(name):
+    # Only for a name not bound yet: load every exporting module, which binds its names.
+    for module in _EXPORTING:
+        __import__(f"{__name__}.{module}")
+    globals().setdefault("__all__", [e for m in _EXPORTING for e in globals()[m].__all__])
+    if name not in globals():
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals()[name]
+
+
+def __dir__():
+    __getattr__("__all__")  # every public name is listed before any has been used
+    return sorted(globals())

@@ -4,6 +4,10 @@ Subcommands: keygen, roots (the key's own roots of 1), encrypt, decrypt, rand, g
 All values cross the boundary as decimal ASCII; input files must end every line in LF, like
 the output, and every regular file written is owner-only (0600). Exit codes: 0 success, 1 domain
 error (one-line diagnostic on stderr), 2 usage error.
+
+A fresh process pays for each module it loads, compiling it when no bytecode is cached. So each
+command imports what it runs in its own function (KeyMaterial, in annotations only, is never
+imported) and modes are KeyMode member names: --version, --help and usage errors load no key.
 """
 
 from __future__ import annotations
@@ -13,24 +17,13 @@ import os
 import sys
 
 from . import __version__
-from .cipher import (
-    companion_table,
-    decrypt,
-    encrypt,
-    parse_ciphertext,
-    serialize_ciphertext,
-)
 from .errors import CubeTagError
-from .events import play_round
-from .formats import read_file
-from .keys import KeyMaterial, KeyMode, generate_key, parse_key, serialize_key
-from .prng import digit_stream, pack_bits_hex
 
-_MODE_NAMES = {
-    "cubic3-prime": KeyMode.CUBIC3_PRIME,
-    "cubic3": KeyMode.CUBIC3_COMPOSITE,
-    "cubic9": KeyMode.CUBIC9_COMPOSITE,
-    "square": KeyMode.SQUARE_COMPOSITE,
+_MODE_NAMES = {  # CLI mode name: KeyMode member name
+    "cubic3-prime": "CUBIC3_PRIME",
+    "cubic3": "CUBIC3_COMPOSITE",
+    "cubic9": "CUBIC9_COMPOSITE",
+    "square": "SQUARE_COMPOSITE",
 }
 
 
@@ -43,7 +36,8 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _cmd_keygen(args: argparse.Namespace, _key: None) -> None:
-    mode = _MODE_NAMES[args.mode]
+    from .keys import KeyMode, generate_key, serialize_key
+    mode = KeyMode[_MODE_NAMES[args.mode]]
     key = generate_key(mode, bits=args.bits, seed=args.seed, p=args.p, q=args.q)
     _write_text(args.out, serialize_key(key))
     _write_text(args.out + ".pub", serialize_key(key.public()))
@@ -56,6 +50,7 @@ def _cmd_roots(args: argparse.Namespace, key: KeyMaterial) -> None:
 
 
 def _cmd_encrypt(args: argparse.Namespace, key: KeyMaterial) -> None:
+    from .cipher import encrypt, serialize_ciphertext
     ct = encrypt(args.message, key)
     text = serialize_ciphertext(ct)
     if args.out:
@@ -65,11 +60,14 @@ def _cmd_encrypt(args: argparse.Namespace, key: KeyMaterial) -> None:
 
 
 def _cmd_decrypt(args: argparse.Namespace, key: KeyMaterial) -> None:
+    from .cipher import decrypt, parse_ciphertext
+    from .formats import read_file
     ct = parse_ciphertext(read_file(args.infile), key.mode)
     print(decrypt(ct, key))
 
 
 def _cmd_rand(args: argparse.Namespace, key: KeyMaterial) -> None:
+    from .prng import digit_stream, pack_bits_hex
     digits = digit_stream(key, args.seed, args.radix, args.count)
     if args.hex:
         print(pack_bits_hex(digits))
@@ -79,6 +77,7 @@ def _cmd_rand(args: argparse.Namespace, key: KeyMaterial) -> None:
 
 
 def _cmd_game(args: argparse.Namespace, key: KeyMaterial) -> None:
+    from .events import play_round
     round_ = play_round(key, args.message, args.alice, args.bob)
     print(f"c={round_.c}")
     print(f"coset={round_.coset}")
@@ -90,6 +89,7 @@ def _cmd_game(args: argparse.Namespace, key: KeyMaterial) -> None:
 
 
 def _cmd_table(args: argparse.Namespace, key: KeyMaterial) -> None:
+    from .cipher import companion_table
     for companions, c in companion_table(key):
         print(f"{' '.join(str(v) for v in companions)} -> {c}")
 
@@ -161,7 +161,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.hex and args.radix != 2:
             parser.error("--hex requires --radix 2")
     try:
-        key = parse_key(read_file(args.key)) if "key" in args else None
+        key = None
+        if "key" in args:
+            from .formats import read_file
+            from .keys import parse_key
+            key = parse_key(read_file(args.key))
         args.func(args, key)
     except (CubeTagError, ValueError, OSError) as exc:
         print(f"cubetag: {exc}", file=sys.stderr)

@@ -2,18 +2,23 @@
 
 import copy
 import importlib
-import os
 import pickle
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import cubetag
-from cubetag import KeyMaterial, encrypt, play_round, prng_init
+from cubetag import KeyMaterial, encrypt, play_round, prng_init, serialize_ciphertext, serialize_key
 
 MODULES = ("cipher", "errors", "events", "keys", "modular", "prng", "roots")
+
+
+def _child(code, *args, cwd=None):
+    """The stdout lines of a fresh ``python -S`` running `code`; -S keeps a site-packages .pth
+    file from importing modules before cubetag does."""
+    return subprocess.run([sys.executable, "-S", "-c", code, *args], capture_output=True,
+                          text=True, cwd=cwd, check=True).stdout.splitlines()
 
 
 def test_root_exports_the_union_of_module_exports():
@@ -31,15 +36,88 @@ def test_root_exports_the_union_of_module_exports():
 
 def test_cli_import_loads_no_code_introspection():
     # Every cubetag process imports cubetag.cli, so what it loads is paid on every command;
-    # dataclasses alone would pull in inspect, ast and dis. -S keeps a site-packages .pth
-    # file from importing them before cubetag does.
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    # dataclasses alone would pull in inspect, ast and dis.
     code = ("import sys, cubetag.cli; "
             "print(*sorted({'ast', 'dataclasses', 'dis', 'inspect'} & set(sys.modules)))")
-    loaded = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": pythonpath}, check=True).stdout
-    assert loaded.split() == []
+    assert _child(code) == [""]
+
+
+# Runs `python -m cubetag` with the child's arguments, then prints its exit code and the
+# cubetag modules it loaded.
+_RUN_COMMAND = """import runpy, sys
+try:
+    runpy.run_module("cubetag", run_name="__main__", alter_sys=True)
+except SystemExit as done:
+    print(done.code)
+print(*sorted(name for name in sys.modules if name.startswith("cubetag")))
+"""
+_BARE = {"cubetag", "cubetag.cli", "cubetag.errors"}
+_KEYED = _BARE | {"cubetag.formats", "cubetag.keys", "cubetag.modular", "cubetag.roots"}
+_CIPHER = _KEYED | {"cubetag.cipher"}
+
+
+@pytest.mark.parametrize("argv, status, loaded", [
+    (["--version"], 0, _BARE),
+    (["--help"], 0, _BARE),
+    (["encrypt", "--message", "12"], 2, _BARE),  # usage error: no --key
+    (["keygen", "--mode", "cubic9", "--p", "7", "--q", "13", "--out", "new.key"], 0, _KEYED),
+    (["roots", "--key", "k.key"], 0, _KEYED),
+    (["encrypt", "--key", "k.key", "--message", "12"], 0, _CIPHER),
+    (["decrypt", "--key", "k.key", "--in", "k.ct"], 0, _CIPHER),
+    (["table", "--key", "k.key"], 0, _CIPHER),
+    (["rand", "--key", "k.key", "--seed", "5", "--radix", "2", "--count", "3"], 0,
+     _KEYED | {"cubetag.prng"}),
+    (["game", "--key", "k.key", "--message", "12", "--alice", "1", "--bob", "2"], 0,
+     _CIPHER | {"cubetag.events"}),
+], ids=["version", "help", "usage-error", "keygen", "roots", "encrypt", "decrypt", "table", "rand",
+        "game"])
+def test_each_command_loads_only_its_modules(tmp_path, key91, argv, status, loaded):
+    # A fresh process compiles every module it loads when no bytecode is cached, so a module
+    # a command does not run is start-up paid for nothing.
+    (tmp_path / "k.key").write_text(serialize_key(key91))
+    (tmp_path / "k.ct").write_text(serialize_ciphertext(encrypt(12, key91)))
+    *_, code, modules = _child(_RUN_COMMAND, *argv, cwd=tmp_path)
+    assert int(code) == status
+    assert set(modules.split()) == loaded
+
+
+_STAR_IMPORT = """import importlib
+names = {}
+exec("from cubetag import *", names)
+del names["__builtins__"]
+modules = [importlib.import_module(f"cubetag.{name}") for name in MODULES]
+print(list(names) == [name for module in modules for name in module.__all__])
+"""
+_DIR_FIRST = """import importlib, cubetag
+listed = set(dir(cubetag))
+modules = [importlib.import_module(f"cubetag.{name}") for name in MODULES]
+print(set(cubetag.__all__) == {name for module in modules for name in module.__all__} <= listed)
+"""
+_UNKNOWN = """import cubetag
+try:
+    cubetag.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+# A wrapper patched over a module's function must not become the root's, even when the root's
+# name is first read while the patch is in place.
+_PATCH_THEN_READ = """import cubetag.cipher
+original = cubetag.cipher.encrypt
+cubetag.cipher.encrypt = lambda *args: None
+seen = cubetag.encrypt
+cubetag.cipher.encrypt = original
+print(seen is original and cubetag.encrypt is original)
+"""
+
+
+@pytest.mark.parametrize("code, printed", [
+    (_STAR_IMPORT, "True"),
+    (_DIR_FIRST, "True"),
+    (_UNKNOWN, "module 'cubetag' has no attribute 'no_such_name'"),
+    (_PATCH_THEN_READ, "True"),
+], ids=["star-import", "dir-first", "unknown-name", "patch-then-read"])
+def test_lazy_root_keeps_the_surface(code, printed):
+    assert _child(f"MODULES = {MODULES!r}\n{code}") == [printed]
 
 
 def test_records_copy_and_pickle_to_equal_values(key77, key91):

@@ -1,20 +1,21 @@
 """Interleaved wall times of `cubetag` processes from two source trees.
 
 Usage: python3 tools/cli_op_times.py PARENT_SRC CHANGE_SRC OUT.json [--commits PARENT CHANGE]
+                                      [--layer LAYER]
 
 Each row is one command: `python -c pass`, `import cubetag.cli`, `--version`,
-and keygen, encrypt, decrypt and roots for a 1024-bit key of each mode (rand
-and game on the nine-root key), as in the cli-1024 benchmark workload, and
-roots for a 2048-bit key of each mode, whose time is mostly the key load, at
-the size of the stream-2048 workload's keys. The keys are generated once, with
-CHANGE_SRC, and both trees read copies of the same files. Each of
+`--help`, and keygen, encrypt, decrypt and roots for a 1024-bit key of each
+mode (rand and game on the nine-root key), as in the cli-1024 benchmark
+workload, and roots for a 2048-bit key of each mode, whose time is mostly the
+key load, at the size of the stream-2048 workload's keys. The keys are
+generated once, with CHANGE_SRC, and both trees read copies of the same files. Each of
 12 repetitions runs each row once per tree, the order of the two trees
 alternating, with PYTHONDONTWRITEBYTECODE=1 so that each process compiles the
 package as a fresh checkout does. Both trees must print the same bytes and
 write the same files; a difference stops the run. OUT holds per-row medians
-and quartiles in ms, how often the change was faster, and the layer
-``cli.startup_ms``: a process's time before ``cli.main`` starts, the median of
-the ``import cubetag.cli`` row.
+and quartiles in ms, how often the change was faster, the layer the change
+moved when one is named, and ``cli.startup_ms``: a process's time before
+``cli.main`` starts, the median of the ``import cubetag.cli`` row.
 """
 
 import argparse
@@ -35,7 +36,7 @@ BITS, ROOTS_BITS, REPS = 1024, 2048, 12
 
 def _commands() -> dict[str, list[str]]:
     rows = {"python -c pass": ["-c", "pass"], "import cubetag.cli": ["-c", "import cubetag.cli"],
-            "--version": ["-m", "cubetag", "--version"]}
+            "--version": ["-m", "cubetag", "--version"], "--help": ["-m", "cubetag", "--help"]}
     for mode, seed in MODES.items():
         key = ["--key", f"{mode}.key"]
         rows[f"{mode} keygen"] = ["-m", "cubetag", "keygen", "--mode", mode, "--bits", str(BITS),
@@ -70,6 +71,7 @@ def main() -> None:
     parser.add_argument("out", type=Path)
     parser.add_argument("--commits", nargs=2, default=("?", "?"), metavar=("PARENT", "CHANGE"),
                         help="the commits the two trees hold, stamped into OUT")
+    parser.add_argument("--layer", default=None, help="the layer the change moved, stamped into OUT")
     args = parser.parse_args()
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     rows = _commands()
@@ -95,7 +97,7 @@ def main() -> None:
     cpu = next((line.split(":", 1)[1].strip() for line in
                 Path("/proc/cpuinfo").read_text().splitlines() if line.startswith("model name")),
                platform.processor())
-    report = {"commits": dict(zip(trees, args.commits)), "python": platform.python_version(),
+    report = {"commits": dict(zip(trees, args.commits)), "layer": args.layer, "python": platform.python_version(),
               "cpu": cpu, "cpus": os.cpu_count(), "bits": BITS, "roots_bits": ROOTS_BITS,
               "reps": REPS, "env": "PYTHONDONTWRITEBYTECODE=1", "unit": "ms", "rows": {}}
     for name, sides in times.items():
