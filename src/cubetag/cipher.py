@@ -16,7 +16,6 @@ from typing import NamedTuple
 from .errors import (InvalidArgumentError, InvalidCiphertextError, InvalidMessageError,
                      NonResidueError, TagRangeError, _show)
 from .formats import decimal_field, decimal_lines, file_lines, require_lines
-from .keys import KeyMaterial, KeyMode
 from .modular import crt_combine, kth_root_mod_prime
 
 __all__ = [

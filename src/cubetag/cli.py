@@ -5,9 +5,8 @@ All values cross the boundary as decimal ASCII; input files must end every line 
 the output, and every regular file written is owner-only (0600). Exit codes: 0 success, 1 domain
 error (one-line diagnostic on stderr), 2 usage error.
 
-A fresh process pays for each module it loads, compiling it when no bytecode is cached. So each
-command imports what it runs in its own function (KeyMaterial, in annotations only, is never
-imported) and modes are KeyMode member names: --version, --help and usage errors load no key.
+Each command imports what it runs in its own function (see the package docstring), and modes
+are KeyMode member names, so --version, --help and usage errors load no key module.
 """
 
 from __future__ import annotations

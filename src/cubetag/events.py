@@ -14,8 +14,6 @@ from typing import NamedTuple
 
 from .cipher import decrypt_candidates, encrypt
 from .errors import InvalidArgumentError
-from .keys import KeyMaterial
-from .roots import UnityRootSet
 
 __all__ = ["GameRound", "RootGrouping", "partition_nine_roots", "play_round"]
 

@@ -23,15 +23,14 @@ from __future__ import annotations
 
 import enum
 import math
-import random
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import (InvalidArgumentError, KeyFileError, KeyGenerationError,
                      PrivateKeyRequiredError, _show)
 from .formats import (DECIMAL_BOUND, MAX_DIGITS, decimal_field, decimal_lines, file_lines,
                       require_lines)
 from .modular import _ProvenPrime, is_probable_prime
-from .roots import UnityRootSet, _require_odd_prime, _unity_roots
+from .roots import _require_odd_prime, _unity_roots
 
 __all__ = [
     "KeyMaterial", "KeyMode", "generate_key", "key_from_factors", "parse_key", "serialize_key",
@@ -121,9 +120,7 @@ class KeyMaterial:
         if not spec.constraint(self.p, phi):
             raise KeyGenerationError(f"{self.mode.value} needs {spec.requirement}; "
                                      f"p={_show(self.p)}, phi={_show(phi)} fails")
-        for factor in factors:
-            _require_odd_prime(factor)
-        factors = tuple(map(_ProvenPrime, factors))
+        factors = tuple(map(_require_odd_prime, factors))
         roots = _unity_roots(spec.exponent, factors, _alpha)
         alpha = roots.roots[1] if "alpha" in spec.private_fields else None
         vars(self).update(zip(("p", "q"), factors), alpha=alpha, unity_roots=roots)
@@ -211,6 +208,7 @@ def generate_key(
     if bits >= DECIMAL_BOUND.bit_length():  # n < 2**bits must fit a key file's n= line
         raise InvalidArgumentError(
             f"bits must be < {DECIMAL_BOUND.bit_length()}, got {_show(bits)}")
+    import random
     rng = random.Random(seed)
     shapes = _MODES[mode].shapes
     factors: list[int] = []

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 
 from .errors import InvalidArgumentError, NonResidueError, NotInvertibleError, _show
 

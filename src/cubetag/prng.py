@@ -17,7 +17,6 @@ import math
 from typing import NamedTuple
 
 from .errors import InvalidArgumentError, _show
-from .keys import KeyMaterial
 
 __all__ = ["PrngState", "digit_stream", "pack_bits_hex", "prng_init", "prng_next"]
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .errors import InvalidArgumentError, _show
-from .modular import _primitive_unity_root, crt_combine, is_probable_prime
+from .modular import _ProvenPrime, _primitive_unity_root, crt_combine, is_probable_prime
 
 __all__ = ["cube_roots_of_unity_composite", "cube_roots_of_unity_prime",
            "square_roots_of_unity_composite"]
@@ -36,9 +36,10 @@ class UnityRootSet:
         return iter(self.roots)
 
 
-def _require_odd_prime(p: int) -> None:
+def _require_odd_prime(p: int) -> _ProvenPrime:
     if p < 3 or p % 2 == 0 or not is_probable_prime(p):
         raise InvalidArgumentError(f"{_show(p)} is not an odd prime")
+    return _ProvenPrime(p)  # so a later guard accepts p untested
 
 
 def _garner_product(p: int, q: int, roots_p: tuple, roots_q: tuple) -> UnityRootSet:
@@ -63,8 +64,7 @@ def cube_roots_of_unity_prime(p: int) -> UnityRootSet:
 
 def cube_roots_of_unity_composite(p: int, q: int) -> UnityRootSet:
     """Cube roots of 1 mod p*q, one per pair of per-prime roots: 1, 3 or 9 of them."""
-    _require_odd_prime(p)
-    _require_odd_prime(q)
+    p, q = _require_odd_prime(p), _require_odd_prime(q)
     return _garner_product(p, q, *(cube_roots_of_unity_prime(f).roots for f in (p, q)))
 
 

@@ -305,6 +305,19 @@ class TestLineEnds:
         assert err.startswith("cubetag: line 1: ")
 
 
+def test_value_past_the_interpreter_conversion_limit(keyfile77, tmp_path):
+    # canonical decimal within the formats' 4300 digits, past a limit lowered to its least
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str conversion limit")
+    ct = tmp_path / "long.ct"
+    ct.write_text(f"c={'7' * 700}\ntag=1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cubetag", "decrypt", "--key", keyfile77, "--in", str(ct)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONINTMAXSTRDIGITS": "640"})
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("cubetag: line 1: ")
+
+
 class TestFileLength:
     """A file is read to one character past the longest the formats allow, then refused."""
 

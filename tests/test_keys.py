@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cubetag.keys
 import cubetag.modular
 import cubetag.roots
 from cubetag import (
@@ -890,3 +891,46 @@ class TestWorkPerKeyLoad:
             count = len(factors)
             built = load_work(lambda: key_from_factors(mode, *factors))
             assert built == (count, count, self.BUILT[mode]), mode
+
+
+def test_root_routines_prove_each_plain_factor_once(keys1024, load_work):
+    # a routine's own guard proves each plain-int factor and passes it on proven; both
+    # factors have 3 | f-1, so each has a primitive cube root of 1 to search for
+    p, q = (int(f) for f in keys1024[KeyMode.CUBIC9_COMPOSITE].factors)
+    assert load_work(lambda: cube_roots_of_unity_prime(p)) == (1, 1, 1)
+    assert load_work(lambda: cube_roots_of_unity_composite(p, q)) == (2, 2, 2)
+    assert load_work(lambda: square_roots_of_unity_composite(p, q)) == (2, 2, 0)
+
+
+_SEARCH_WORK = ((cubetag.keys, "is_probable_prime"), (cubetag.modular, "_baillie_psw"),
+                (cubetag.modular, "_strong_probable_prime"), (cubetag.modular, "_strong_lucas"))
+
+
+class TestWorkPerKeygen:
+    """Counted work of generate_key(mode, 1024, seed=1), per factor in the order searched: the
+    candidates that reach the primality test, those past its gcd screen (one Baillie-PSW test
+    each), its base-2 rounds and its Lucas chains. Only a factor's last candidate passes the
+    base-2 round, so each factor's count ends at its one Lucas chain."""
+
+    WORK = {KeyMode.CUBIC3_PRIME: [(105, 23, 23, 1)],
+            KeyMode.CUBIC3_COMPOSITE: [(58, 8, 8, 1), (16, 3, 3, 1)],
+            KeyMode.CUBIC9_COMPOSITE: [(58, 8, 8, 1), (3, 1, 1, 1)],
+            KeyMode.SQUARE_COMPOSITE: [(9, 1, 1, 1), (31, 4, 4, 1)]}
+
+    def test_search_per_factor(self, monkeypatch):
+        calls = []
+        for module, name in _SEARCH_WORK:
+            def counting(*args, name=name, original=getattr(module, name), **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+        names = [name for _, name in _SEARCH_WORK]
+        for mode, work in self.WORK.items():
+            calls.clear()
+            generate_key(mode, bits=1024, seed=1)
+            per_factor = []
+            while "_strong_lucas" in calls:
+                end = calls.index("_strong_lucas") + 1
+                per_factor.append(tuple(calls[:end].count(name) for name in names))
+                del calls[:end]
+            assert (per_factor, calls) == (work, []), mode

@@ -42,14 +42,26 @@ def test_cli_import_loads_no_code_introspection():
     assert _child(code) == [""]
 
 
+@pytest.mark.parametrize("module, unused", [
+    ("cipher", {"cubetag.keys"}),
+    ("prng", {"cubetag.keys"}),
+    ("events", {"cubetag.keys", "cubetag.roots"}),
+])
+def test_module_import_loads_no_annotation_only_module(module, unused):
+    # A key and a root set reach these modules as arguments: their types appear in annotations
+    # only, so importing the module loads neither the key nor the root module.
+    code = f"import sys, cubetag.{module}; print(*sorted({unused!r} & set(sys.modules)))"
+    assert _child(code) == [""]
+
+
 # Runs `python -m cubetag` with the child's arguments, then prints its exit code and the
-# cubetag modules it loaded.
+# cubetag modules it loaded, and random if it was loaded.
 _RUN_COMMAND = """import runpy, sys
 try:
     runpy.run_module("cubetag", run_name="__main__", alter_sys=True)
 except SystemExit as done:
     print(done.code)
-print(*sorted(name for name in sys.modules if name.startswith("cubetag")))
+print(*sorted(name for name in sys.modules if name.startswith("cubetag") or name == "random"))
 """
 _BARE = {"cubetag", "cubetag.cli", "cubetag.errors"}
 _KEYED = _BARE | {"cubetag.formats", "cubetag.keys", "cubetag.modular", "cubetag.roots"}
@@ -61,6 +73,8 @@ _CIPHER = _KEYED | {"cubetag.cipher"}
     (["--help"], 0, _BARE),
     (["encrypt", "--message", "12"], 2, _BARE),  # usage error: no --key
     (["keygen", "--mode", "cubic9", "--p", "7", "--q", "13", "--out", "new.key"], 0, _KEYED),
+    (["keygen", "--mode", "cubic9", "--bits", "16", "--seed", "1", "--out", "new.key"], 0,
+     _KEYED | {"random"}),  # only a prime search draws random numbers
     (["roots", "--key", "k.key"], 0, _KEYED),
     (["encrypt", "--key", "k.key", "--message", "12"], 0, _CIPHER),
     (["decrypt", "--key", "k.key", "--in", "k.ct"], 0, _CIPHER),
@@ -69,8 +83,8 @@ _CIPHER = _KEYED | {"cubetag.cipher"}
      _KEYED | {"cubetag.prng"}),
     (["game", "--key", "k.key", "--message", "12", "--alice", "1", "--bob", "2"], 0,
      _CIPHER | {"cubetag.events"}),
-], ids=["version", "help", "usage-error", "keygen", "roots", "encrypt", "decrypt", "table", "rand",
-        "game"])
+], ids=["version", "help", "usage-error", "keygen", "keygen-search", "roots", "encrypt", "decrypt",
+        "table", "rand", "game"])
 def test_each_command_loads_only_its_modules(tmp_path, key91, argv, status, loaded):
     # A fresh process compiles every module it loads when no bytecode is cached, so a module
     # a command does not run is start-up paid for nothing.
