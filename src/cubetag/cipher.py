@@ -20,7 +20,7 @@ from .modular import crt_combine, kth_root_mod_prime
 
 __all__ = [
     "TaggedCiphertext", "companion_table", "cube_root_by_exponent", "decrypt",
-    "decrypt_candidates", "encrypt", "kth_root", "parse_ciphertext",
+    "decrypt_candidates", "encrypt", "parse_ciphertext",
     "serialize_ciphertext",
 ]
 
@@ -69,7 +69,7 @@ def cube_root_by_exponent(c: int, key: KeyMaterial) -> int:
 
     Only possible when 9 does not divide phi(n): the exponent is
     3^-1 mod phi/3, i.e. (phi+3)/9 for phi = 6 mod 9 and (2*phi+3)/9 for
-    phi = 3 mod 9. Decryption does not use it (see kth_root).
+    phi = 3 mod 9. Decryption does not use it (see decrypt_candidates).
     """
     _require_ciphertext(c, key)
     phi, n = key.phi, key.n
@@ -83,26 +83,18 @@ def cube_root_by_exponent(c: int, key: KeyMaterial) -> int:
     return root
 
 
-def kth_root(c: int, key: KeyMaterial) -> int:
-    """One k-th root of c mod n (k the key's exponent): a root modulo each
-    prime factor, recombined by CRT. A prime modulus is the one-factor case.
+def decrypt_candidates(c: int, key: KeyMaterial) -> list[int]:
+    """The full ascending preimage set of c: every x with x**k = c mod n, k the key's exponent.
 
-    Raises InvalidCiphertextError unless 1 <= c < n and gcd(c, n) = 1,
-    PrivateKeyRequiredError for a public key, and NonResidueError when c has
+    One k-th root modulo each prime factor, joined by CRT (a prime modulus is the one-factor
+    case), and its companions. Raises InvalidCiphertextError unless 1 <= c < n and
+    gcd(c, n) = 1, PrivateKeyRequiredError for a public key, and NonResidueError when c has
     no k-th root.
     """
     _require_ciphertext(c, key)
     factors = key.factors
     roots = [kth_root_mod_prime(c, f, key.mode.exponent) for f in factors]
-    return crt_combine(*roots, *factors) if len(roots) == 2 else roots[0]
-
-
-def decrypt_candidates(c: int, key: KeyMaterial) -> list[int]:
-    """The full ascending preimage set of c: every x with x**k = c mod n.
-
-    c must lie in [1, n) and be coprime to n (InvalidCiphertextError).
-    """
-    return _companions(kth_root(c, key), key)
+    return _companions(crt_combine(*roots, *factors) if len(roots) == 2 else roots[0], key)
 
 
 def decrypt(ct: TaggedCiphertext, key: KeyMaterial) -> int:

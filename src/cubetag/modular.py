@@ -14,22 +14,21 @@ from .errors import InvalidArgumentError, NonResidueError, NotInvertibleError, _
 
 __all__ = ["crt_combine", "is_probable_prime", "kth_root_mod_prime", "mod_inverse"]
 
+_SMALL_PRIMES = (
+    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
+    71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
+    151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223, 227, 229,
+)
 # Deterministic Miller-Rabin witnesses: the first 13 primes decide primality
 # for every n below this bound (Sorenson & Webster).
+_MR_DETERMINISTIC_BASES = _SMALL_PRIMES[:13]
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
-_MR_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Witnesses key generation draws from its seeded RNG per candidate above that
 # bound and does not use: drawing them keeps each seed's RNG stream, and so
 # the keys every seed has always generated.
 _MR_ROUNDS = 40
 # Key generation also screens candidates by a gcd with the odd primes below this.
 _SCREEN_LIMIT = 1 << 16
-
-_SMALL_PRIMES = (
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
-    71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
-    151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223, 227, 229,
-)
 
 
 def mod_inverse(a: int, modulus: int) -> int:

@@ -37,7 +37,7 @@ class UnityRootSet:
 
 
 def _require_odd_prime(p: int) -> _ProvenPrime:
-    if p < 3 or p % 2 == 0 or not is_probable_prime(p):
+    if not isinstance(p, int) or p < 3 or p % 2 == 0 or not is_probable_prime(p):
         raise InvalidArgumentError(f"{_show(p)} is not an odd prime")
     return _ProvenPrime(p)  # so a later guard accepts p untested
 
@@ -55,7 +55,7 @@ def cube_roots_of_unity_prime(p: int) -> UnityRootSet:
     For p = 1 mod 3 they are 1, z, z**2 for z = g**((p-1)/3), a primitive
     cube root of 1 (g the least cubic non-residue); no square root is taken.
     """
-    _require_odd_prime(p)
+    p = _require_odd_prime(p)
     if p % 3 != 1:
         return UnityRootSet(p, (1,))
     _, z = _primitive_unity_root(p, 3, 1, (p - 1) // 3)
@@ -70,8 +70,7 @@ def cube_roots_of_unity_composite(p: int, q: int) -> UnityRootSet:
 
 def square_roots_of_unity_composite(p: int, q: int) -> UnityRootSet:
     """The four solutions of x**2 = 1 mod p*q for distinct odd primes p, q."""
-    _require_odd_prime(p)
-    _require_odd_prime(q)
+    p, q = _require_odd_prime(p), _require_odd_prime(q)
     return _garner_product(p, q, (1, p - 1), (1, q - 1))
 
 

@@ -22,7 +22,6 @@ from cubetag import (
     encrypt,
     generate_key,
     key_from_factors,
-    kth_root,
     parse_ciphertext,
     serialize_ciphertext,
 )
@@ -112,37 +111,38 @@ class TestCubeRootByExponent:
             assert pow(root, 3, 77) == c
 
 
-class TestCubeRootByCrt:
+class TestDecryptCandidatesByCrt:
     def test_nine_root_example(self, key91):
-        root = kth_root(83, key91)
-        assert root in (20, 24, 33, 34, 47, 59, 73, 76, 89)
+        assert decrypt_candidates(83, key91) == [20, 24, 33, 34, 47, 59, 73, 76, 89]
 
     def test_unity(self, key91):
-        assert kth_root(1, key91) in key91.unity_roots.roots
+        assert decrypt_candidates(1, key91) == list(key91.unity_roots.roots)
 
     def test_three_root_composite(self, key77):
-        root = kth_root(34, key77)
-        assert root in (12, 34, 45)
+        assert decrypt_candidates(34, key77) == [12, 34, 45]
 
     def test_search_path_when_nine_divides_factor_totient(self):
         # 9 | 18: the mod-19 root needs digit correction
         key = key_from_factors(KeyMode.CUBIC9_COMPOSITE, 19, 5)
         for m in (2, 17, 41):
             c = pow(m, 3, 95)
-            root = kth_root(c, key)
-            assert pow(root, 3, 95) == c
+            candidates = decrypt_candidates(c, key)
+            assert candidates == sorted(set(candidates)) and len(candidates) == len(key.roots)
+            assert all(pow(x, 3, 95) == c for x in candidates)
 
     def test_large_factor_with_nine_dividing_totient(self):
         # 9 | p-1 with p above the old exhaustive-search bound of 10**6
         key = key_from_factors(KeyMode.CUBIC9_COMPOSITE, 1000099, 5)
         for m in (2, 3, 123456, key.n - 1):
             c = pow(m, 3, key.n)
-            assert pow(kth_root(c, key), 3, key.n) == c
+            candidates = decrypt_candidates(c, key)
+            assert candidates == sorted(set(candidates)) and len(candidates) == len(key.roots)
+            assert all(pow(x, 3, key.n) == c for x in candidates)
             assert decrypt(encrypt(m, key), key) == m
 
     def test_needs_private_key(self, key91):
         with pytest.raises(PrivateKeyRequiredError):
-            kth_root(83, key91.public())
+            decrypt_candidates(83, key91.public())
 
 
 class TestDecrypt:
@@ -173,8 +173,6 @@ class TestDecrypt:
                 decrypt_candidates(c, key77)
             with pytest.raises(InvalidCiphertextError):
                 decrypt(TaggedCiphertext(c, 1, key77.mode), key77)
-            with pytest.raises(InvalidCiphertextError):
-                kth_root(c, key77)
             with pytest.raises(InvalidCiphertextError):
                 cube_root_by_exponent(c, key77)
 

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from cubetag import (
+    InvalidArgumentError,
     KeyMode,
     cube_roots_of_unity_composite,
     cube_roots_of_unity_prime,
@@ -129,6 +130,24 @@ class TestSquareRootsComposite:
     def test_equal_factors_rejected(self):
         with pytest.raises(ValueError):
             square_roots_of_unity_composite(11, 11)
+
+
+class TestNonIntFactorsRefused:
+    """Each routine works on the factors its guard proved, so a factor that is not an int is
+    refused, as KeyMaterial refuses it, not turned into a float modulus or a bare TypeError."""
+
+    @pytest.mark.parametrize("factor", [7.0, 11.0, 13.0, "7", None], ids=repr)
+    @pytest.mark.parametrize("call", [
+        lambda f: cube_roots_of_unity_prime(f),
+        lambda f: cube_roots_of_unity_composite(f, 13.0),
+        lambda f: cube_roots_of_unity_composite(7, f),
+        lambda f: square_roots_of_unity_composite(f, 11.0),
+        lambda f: square_roots_of_unity_composite(13, f),
+    ], ids=["cube-prime", "cube-composite-p", "cube-composite-q", "square-p", "square-q"])
+    def test_refused(self, call, factor):
+        with pytest.raises(InvalidArgumentError) as info:
+            call(factor)
+        assert str(info.value) == f"{factor!r} is not an odd prime"
 
 
 # A 2048-bit prime's primality test (Baillie-PSW) takes a few tenths of a second.
