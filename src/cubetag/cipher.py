@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .errors import (InvalidArgumentError, InvalidCiphertextError, InvalidMessageError,
                      NonResidueError, TagRangeError, _show)
 from .formats import decimal_field, decimal_lines, file_lines, require_lines
-from .modular import crt_combine, kth_root_mod_prime
+from .modular import _garner, _kth_root
 
 __all__ = [
     "TaggedCiphertext", "companion_table", "cube_root_by_exponent", "decrypt",
@@ -92,9 +92,9 @@ def decrypt_candidates(c: int, key: KeyMaterial) -> list[int]:
     no k-th root.
     """
     _require_ciphertext(c, key)
-    factors = key.factors
-    roots = [kth_root_mod_prime(c, f, key.mode.exponent) for f in factors]
-    return _companions(crt_combine(*roots, *factors) if len(roots) == 2 else roots[0], key)
+    factors, (unity, q_inv), k = key.factors, key._record, key.mode.exponent
+    roots = [_kth_root(c, f, k, u) for f, u in zip(factors, unity)]
+    return _companions(_garner(*roots, *factors, q_inv) if len(roots) == 2 else roots[0], key)
 
 
 def decrypt(ct: TaggedCiphertext, key: KeyMaterial) -> int:

@@ -28,6 +28,13 @@ def _show(value: object) -> str:
     return text if len(text) <= 40 else f"{text[:18]}...{text[-19:]}"
 
 
+def _require_int(name: str, value: object) -> int:
+    """The argument `name`'s value if it is an int (a bool is one), else InvalidArgumentError."""
+    if not isinstance(value, int):
+        raise InvalidArgumentError(f"{name} must be an int, got {_show(value)}")
+    return value
+
+
 class CubeTagError(Exception):
     """Base class for all package-specific errors."""
 

@@ -26,7 +26,7 @@ import math
 from typing import NamedTuple
 
 from .errors import (InvalidArgumentError, KeyFileError, KeyGenerationError,
-                     PrivateKeyRequiredError, _show)
+                     PrivateKeyRequiredError, _require_int, _show)
 from .formats import (DECIMAL_BOUND, MAX_DIGITS, decimal_field, decimal_lines, file_lines,
                       require_lines)
 from .modular import _ProvenPrime, is_probable_prime
@@ -86,20 +86,19 @@ _MODES = {
 class KeyMaterial:
     """A key: the mode and n, and for a private key the factors.
 
-    The one place a key is checked (see the module docstring); instances are immutable.
-    ``unity_roots`` and ``alpha`` follow from the factors alone (``_alpha``, a file's, only
-    spares the root search): ``alpha`` is the smallest nontrivial root of 1, None in SQUARE mode.
+    The one place a key is checked (see the module docstring); instances are immutable. The rest
+    follows from the factors alone (``_alpha``, a file's, only spares a search): ``unity_roots``,
+    ``alpha`` (the least nontrivial root, None in SQUARE mode) and the ``_record`` decrypts reuse.
     """
 
     def __init__(self, mode: KeyMode, n: int, p: int | None = None, q: int | None = None, *,
                  _alpha=None):
-        vars(self).update(mode=mode, n=n, p=p, q=q, alpha=None, unity_roots=None)
+        vars(self).update(mode=mode, n=n, p=p, q=q, alpha=None, unity_roots=None, _record=None)
         if not isinstance(self.mode, KeyMode):
             raise InvalidArgumentError(f"mode must be a KeyMode, got {_show(self.mode)}")
         for name in ("n", "p", "q"):
-            value = getattr(self, name)
-            if not isinstance(value, int) and (name == "n" or value is not None):
-                raise InvalidArgumentError(f"{name} must be an int, got {_show(value)}")
+            if name == "n" or getattr(self, name) is not None:
+                _require_int(name, getattr(self, name))
         if not 2 <= self.n < DECIMAL_BOUND:
             raise InvalidArgumentError(f"n must be at least 2 and at most {MAX_DIGITS} digits")
         if self.p is None:
@@ -121,9 +120,9 @@ class KeyMaterial:
             raise KeyGenerationError(f"{self.mode.value} needs {spec.requirement}; "
                                      f"p={_show(self.p)}, phi={_show(phi)} fails")
         factors = tuple(map(_require_odd_prime, factors))
-        roots = _unity_roots(spec.exponent, factors, _alpha)
+        roots, record = _unity_roots(spec.exponent, factors, _alpha)
         alpha = roots.roots[1] if "alpha" in spec.private_fields else None
-        vars(self).update(zip(("p", "q"), factors), alpha=alpha, unity_roots=roots)
+        vars(self).update(zip(("p", "q"), factors), alpha=alpha, unity_roots=roots, _record=record)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"KeyMaterial is immutable: cannot set or delete {name!r}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .errors import InvalidArgumentError, NonResidueError, NotInvertibleError, _show
+from .errors import InvalidArgumentError, NonResidueError, NotInvertibleError, _require_int, _show
 
 __all__ = ["crt_combine", "is_probable_prime", "kth_root_mod_prime", "mod_inverse"]
 
@@ -53,18 +53,27 @@ def crt_combine(residue_p: int, residue_q: int, p: int, q: int) -> int:
 
     Garner's form: r_q + q*((r_p - r_q)*(q^-1 mod p) mod p).
     """
+    residue_p, residue_q, p, q = map(_require_int, ("residue_p", "residue_q", "p", "q"),
+                                     (residue_p, residue_q, p, q))
     if p < 2 or q < 2:
         raise InvalidArgumentError("crt moduli must be >= 2")
     if math.gcd(p, q) != 1:
         raise InvalidArgumentError(f"crt moduli must be coprime, gcd({_show(p)}, {_show(q)}) != 1")
-    residue_q %= q
-    return residue_q + q * ((residue_p - residue_q) * pow(q, -1, p) % p)
+    return _garner(residue_p, residue_q % q, p, q, pow(q, -1, p))
 
 
-def _primitive_unity_root(p: int, k: int, s: int, t: int) -> tuple[int, int]:
-    """For p-1 = k**s * t, s >= 1, and g the least k-th non-residue: g**t, of order k**s when k
-    does not divide t, and zeta = (g**t)**(k**(s-1)) = g**((p-1)/k), a primitive k-th root of 1.
+def _garner(residue_p: int, residue_q: int, p: int, q: int, q_inv: int) -> int:
+    """crt_combine, unchecked, for residue_q in [0, q) and q_inv = q**-1 mod p."""
+    return residue_q + q * ((residue_p - residue_q) * q_inv % p)
+
+
+def _primitive_unity_root(p: int, k: int) -> tuple[int, int]:
+    """For p-1 = k**s * t, k not dividing t, s >= 1, and g the least k-th non-residue: g**t, of
+    order k**s, and zeta = (g**t)**(k**(s-1)) = g**((p-1)/k), a primitive k-th root of 1.
     That g is prime (residues are closed under products), so g runs 2, 3, 5, 7, 9, ..."""
+    s, t = 0, p - 1
+    while t % k == 0:
+        s, t = s + 1, t // k
     g = 2
     while (zeta := pow(generator := pow(g, t, p), k ** (s - 1), p)) == 1:
         g += 1 + g % 2
@@ -74,34 +83,38 @@ def _primitive_unity_root(p: int, k: int, s: int, t: int) -> tuple[int, int]:
 def kth_root_mod_prime(c: int, p: int, k: int) -> int:
     """Return one k-th root x of c mod an odd prime p, for k = 2 or 3.
 
-    Adleman-Manders-Miller: write p-1 = k**s * t with k not dividing t and
-    guess x = c**(k^-1 mod t). The guess is a root whenever s <= 1 and c is a
-    residue; otherwise x**k / c lies in the subgroup generated by g**t, g the
-    least k-th non-residue, and x is corrected there one base-k digit at a
-    time against zeta = (g**t)**(k**(s-1)). For k = 2 this is Tonelli-Shanks.
-    p must be prime (not tested): the result is a verified root, else a
-    CubeTagError is raised (for p prime, NonResidueError exactly when c has
-    no k-th root).
-    """
+    Adleman-Manders-Miller: with p-1 = k**s * t, k not dividing t, guess x = c**e, e = k^-1 mod t:
+    a root whenever s <= 1 and c is a residue. Otherwise x**k / c = x**(k-1) * c**(e-1), taken
+    with no inverse, lies in the subgroup generated by g**t, g the least k-th non-residue, and x is
+    corrected there one base-k digit at a time against zeta = (g**t)**(k**(s-1)) (Tonelli-Shanks
+    for k = 2). A call that needs g searches for it; a key's decrypts reuse its one search.
+    p must be prime (not tested): the result is a verified root, else a CubeTagError is raised
+    (for p prime, NonResidueError exactly when c has no k-th root)."""
+    c, p, k = map(_require_int, ("c", "p", "k"), (c, p, k))
     if k not in (2, 3):
         raise InvalidArgumentError(f"root order must be 2 or 3, got {_show(k)}")
     if p < 3 or p % 2 == 0:
         raise InvalidArgumentError(f"modulus must be an odd prime, got {_show(p)}")
+    return _kth_root(c, p, k)
+
+
+def _kth_root(c: int, p: int, k: int, unity: tuple[int, int] | None = None) -> int:
+    """kth_root_mod_prime unchecked; `unity` is p's (g**t, zeta) where already searched."""
     c %= p
     if c == 0:
         return 0
     s, t = 0, p - 1
     while t % k == 0:
         s, t = s + 1, t // k
-    x = pow(c, pow(k, -1, t), p)
-    if (x_k := pow(x, k, p)) == c:
+    z = pow(c, (pow(k, -1, t) or t) - 1, p)  # c**(e-1), e in [1, t] so that e-1 >= 0
+    x = z * c % p
+    if (error := pow(x, k - 1, p) * z % p) == 1:  # x**k / c
         return x
-    error = x_k * mod_inverse(c, p) % p  # x**k / c
     no_root = NonResidueError(
         f"{_show(c)} has no {'square' if k == 2 else 'cube'} root mod {_show(p)}")
     if s <= 1:  # then the guess is a root of every residue mod a prime
         raise no_root
-    generator, zeta = _primitive_unity_root(p, k, s, t)
+    generator, zeta = unity or _primitive_unity_root(p, k)
     m = s  # for a residue, error has order below k**m; generator has order k**m
     while error != 1:
         top = error

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import InvalidArgumentError, _show
+from .errors import InvalidArgumentError, _require_int, _show
 
 __all__ = ["PrngState", "digit_stream", "pack_bits_hex", "prng_init", "prng_next"]
 
@@ -52,13 +52,14 @@ def digit_stream(key: KeyMaterial, seed: int, radix: int, count: int) -> list[in
     """First `count` output digits for (key, seed, radix): prng_next's states mod radix, the
     seed never emitted. Each step cubes a = s mod p and b = s mod q, and the digit is Garner's
     s = b + q*((a - b)*(q^-1 mod p) mod p) reduced mod radix, s itself never formed."""
+    seed, radix, count = map(_require_int, ("seed", "radix", "count"), (seed, radix, count))
     if count < 0:
         raise InvalidArgumentError(f"count must be >= 0, got {_show(count)}")
     n = prng_init(key, seed).n
     if not 2 <= radix < n:
         raise InvalidArgumentError(f"radix must be in [2, {_show(n)}), got {_show(radix)}")
     p, q = key.factors
-    q_inv, q_radix = pow(q, -1, p), q % radix
+    q_inv, q_radix = key._record[1], q % radix
     a = b = seed
     digits = []
     for _ in range(count):

@@ -11,10 +11,8 @@ key's exponent and factor count pick the routine that builds its roots.
 
 from __future__ import annotations
 
-import math
-
 from .errors import InvalidArgumentError, _show
-from .modular import _ProvenPrime, _primitive_unity_root, crt_combine, is_probable_prime
+from .modular import _ProvenPrime, _garner, _primitive_unity_root, crt_combine, is_probable_prime
 
 __all__ = ["cube_roots_of_unity_composite", "cube_roots_of_unity_prime",
            "square_roots_of_unity_composite"]
@@ -42,9 +40,10 @@ def _require_odd_prime(p: int) -> _ProvenPrime:
     return _ProvenPrime(p)  # so a later guard accepts p untested
 
 
-def _garner_product(p: int, q: int, roots_p: tuple, roots_q: tuple) -> UnityRootSet:
-    """The roots of 1 mod p*q: every pair of per-prime roots, joined by CRT."""
-    combined = sorted(crt_combine(rp, rq, p, q) for rp in roots_p for rq in roots_q)
+def _garner_product(p: int, q: int, roots_p: tuple, roots_q: tuple, q_inv=None) -> UnityRootSet:
+    """The roots of 1 mod p*q: every pair of per-prime roots, joined by Garner's CRT."""
+    q_inv = q_inv or crt_combine(1, 0, p, q) // q  # q * (q**-1 mod p) is 1 mod p and 0 mod q
+    combined = sorted(_garner(rp, rq, p, q, q_inv) for rp in roots_p for rq in roots_q)
     return UnityRootSet(p * q, tuple(combined))
 
 
@@ -56,10 +55,8 @@ def cube_roots_of_unity_prime(p: int) -> UnityRootSet:
     cube root of 1 (g the least cubic non-residue); no square root is taken.
     """
     p = _require_odd_prime(p)
-    if p % 3 != 1:
-        return UnityRootSet(p, (1,))
-    _, z = _primitive_unity_root(p, 3, 1, (p - 1) // 3)
-    return UnityRootSet(p, tuple(sorted((1, z, z * z % p))))
+    z = _primitive_unity_root(p, 3)[1] if p % 3 == 1 else 1
+    return UnityRootSet(p, tuple(sorted({1, z, z * z % p})))
 
 
 def cube_roots_of_unity_composite(p: int, q: int) -> UnityRootSet:
@@ -74,18 +71,21 @@ def square_roots_of_unity_composite(p: int, q: int) -> UnityRootSet:
     return _garner_product(p, q, (1, p - 1), (1, q - 1))
 
 
-def _unity_roots(order: int, factors: tuple[int, ...], alpha=None) -> UnityRootSet:
-    """A key's roots of 1: cube roots mod one prime, or roots of this order mod p*q.
-
-    Where the factors give exactly three cube roots of 1, a nontrivial one `alpha` (a key file's)
-    certifies them as 1, alpha, alpha**2 with no search. The routines are looked up as module
-    globals at call time, so a wrapper installed on them sees every call made through here.
-    """
-    if order == 3 and isinstance(alpha, int) and sum(f % 3 == 1 for f in factors) == 1:
-        n = math.prod(factors)
-        if 1 < alpha < n and (square := alpha * alpha % n) * alpha % n == 1:
-            return UnityRootSet(n, tuple(sorted((1, alpha, square))))
-    if len(factors) == 1:
-        return cube_roots_of_unity_prime(*factors)
-    derive = square_roots_of_unity_composite if order == 2 else cube_roots_of_unity_composite
-    return derive(*factors)
+def _unity_roots(k: int, factors: tuple[int, ...], alpha=None):
+    """A key's roots of 1 and its record, which decrypts reuse: per factor f, the (g**t, zeta) of
+    the AMM search where k**2 | f-1 (else None), and for two factors Garner's q**-1 mod p. Mod f
+    the roots are the powers of a nontrivial one: -1 for squares; for cubes that zeta, or alpha
+    mod f (a key file's alpha) where it is one, sparing a search. Other cube roots come from the
+    public routines (the composite one for a key from its factors alone), looked up as module
+    globals at call time, so a wrapper installed on them sees every call made through here."""
+    unity = tuple(_primitive_unity_root(f, k) if (f - 1) % k**2 == 0 else None for f in factors)
+    q_inv = crt_combine(1, 0, *factors) // factors[1] if len(factors) == 2 else None
+    zetas = [u[1] if u else f - 1 if k == 2 else (alpha or 1) % f for f, u in zip(factors, unity)]
+    residues = [{pow(z, i, f) for i in range(k)} if z != 1 and pow(z, k, f) == 1 else None
+                for f, z in zip(factors, zetas)]
+    if None in residues and alpha is None and q_inv:
+        return cube_roots_of_unity_composite(*factors), (unity, q_inv)
+    residues = [r or cube_roots_of_unity_prime(f).roots for f, r in zip(factors, residues)]
+    if q_inv:
+        return _garner_product(*factors, *residues, q_inv), (unity, q_inv)
+    return UnityRootSet(factors[0], tuple(sorted(residues[0]))), (unity, None)

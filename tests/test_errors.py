@@ -18,12 +18,14 @@ from cubetag import (
     PrngState,
     TaggedCiphertext,
     cube_root_by_exponent,
+    crt_combine,
     cube_roots_of_unity_composite,
     decrypt,
     digit_stream,
     encrypt,
     generate_key,
     key_from_factors,
+    kth_root_mod_prime,
     mod_inverse,
     parse_ciphertext,
     parse_key,
@@ -42,6 +44,14 @@ def test_invalid_arguments_are_typed(key77, key91):
         lambda: play_round(key77, 2, 1, 1),  # three roots, the game needs nine
         lambda: cube_roots_of_unity_composite(7, 7),  # crt moduli must be coprime
         lambda: prng_next(PrngState(0, 2)),  # modulus below 2
+        lambda: digit_stream(key91, 5, 2.0, 3),  # radix not an int
+        lambda: digit_stream(key91, 5.0, 2, 3),  # seed not an int
+        lambda: digit_stream(key91, 5, 2, 3.0),  # count not an int
+        lambda: crt_combine(1, 2, 3.0, 5),  # modulus not an int
+        lambda: crt_combine(1.0, 2, 3, 5),  # residue not an int
+        lambda: kth_root_mod_prime(2, 7.0, 3),  # modulus not an int
+        lambda: kth_root_mod_prime(2.0, 7, 3),  # residue not an int
+        lambda: kth_root_mod_prime(2, 7, 2.0),  # order not an int
     )
     for probe in probes:
         with pytest.raises(CubeTagError) as info:

@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import math
 import re
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cubetag.cipher
 import cubetag.keys
 import cubetag.modular
+import cubetag.prng
 import cubetag.roots
 from cubetag import (
     CubeTagError,
@@ -24,6 +27,9 @@ from cubetag import (
     cli,
     cube_roots_of_unity_composite,
     cube_roots_of_unity_prime,
+    decrypt,
+    digit_stream,
+    encrypt,
     generate_key,
     is_probable_prime,
     key_from_factors,
@@ -744,8 +750,8 @@ def _check_alpha_certificates(limit):
                 assert exc.line == line, (key, alpha)
             else:
                 raise AssertionError(f"alpha={alpha} accepted for {key!r}")
-        # a root plus n is no certificate: a file naming one is refused above either way,
-        # so the route itself is checked
+        # a root plus n has the same residue mod each factor, so it certifies the same roots: a
+        # file naming one is refused above either way, so the route itself is checked
         for alpha in (roots[1] + key.n, roots[2] + key.n):
             assert tuple(key_from_factors(key.mode, *key.factors, _alpha=alpha).roots) == roots
     return kinds
@@ -765,6 +771,22 @@ class TestAlphaCertificate:
     @pytest.mark.slow
     def test_sound_for_every_key_below_10000(self):
         assert len(_check_alpha_certificates(10_000)) == 5
+
+    def test_nine_root_files_below_2000(self):
+        # alpha certifies the roots mod each factor f where alpha mod f != 1, in either order;
+        # some files certify both factors and some one
+        kinds = set()
+        primes = [p for p in sieve(2000) if p % 3 == 1]
+        for p in primes:
+            for q in primes:
+                if p * q >= 2000:
+                    break
+                if p != q:
+                    key = key_from_factors(KeyMode.CUBIC9_COMPOSITE, p, q)
+                    loaded = parse_key(serialize_key(key))
+                    assert tuple(loaded.roots) == kth_roots_of_unity(p * q, 3) == tuple(key.roots)
+                    kinds.add(sum(key.alpha % f != 1 for f in key.factors))
+        assert kinds == {1, 2}
 
 
 _NINE_DIVIDES_P_1, _TWO_MOD_3 = SHAPED_PRIMES[(512, 2, 2)], SHAPED_PRIMES[(512, 1, 0)]
@@ -870,15 +892,18 @@ def load_work(monkeypatch):
 
 class TestWorkPerKeyLoad:
     """Counted work of one load, 1024-bit seed-1 keys: a base-2 round and a Lucas chain per
-    factor, and a non-residue search only for roots the file's alpha cannot certify."""
+    factor, a non-residue search for each factor whose decrypts need a generator (k**2 | f-1),
+    and one for cube roots of 1 mod f only where the file's alpha cannot certify them."""
 
-    # the nine-root key's alpha fixes one of its two generators, so both its factors are
-    # searched; SQUARE's roots, 1 and -1 mod each factor, take no search
+    # the nine-root key's alpha is 1 mod p, so it certifies q's roots and p is searched;
+    # SQUARE's roots are 1 and -1 mod each factor, but 4 | p-1 and 16 | q-1, so the decrypts'
+    # generators are searched for here, once per key
     SEARCHES = {KeyMode.CUBIC3_PRIME: 0, KeyMode.CUBIC3_COMPOSITE: 0,
-                KeyMode.CUBIC9_COMPOSITE: 2, KeyMode.SQUARE_COMPOSITE: 0}
-    # from the factors alone, each factor with 3 | f-1 is searched
+                KeyMode.CUBIC9_COMPOSITE: 1, KeyMode.SQUARE_COMPOSITE: 2}
+    # from the factors alone, each factor with 3 | f-1, and each SQUARE factor with 4 | f-1
+    # (both here), is searched
     BUILT = {KeyMode.CUBIC3_PRIME: 1, KeyMode.CUBIC3_COMPOSITE: 1,
-             KeyMode.CUBIC9_COMPOSITE: 2, KeyMode.SQUARE_COMPOSITE: 0}
+             KeyMode.CUBIC9_COMPOSITE: 2, KeyMode.SQUARE_COMPOSITE: 2}
 
     def test_file_load(self, keys1024, load_work):
         for mode, key in keys1024.items():
@@ -891,6 +916,43 @@ class TestWorkPerKeyLoad:
             count = len(factors)
             built = load_work(lambda: key_from_factors(mode, *factors))
             assert built == (count, count, self.BUILT[mode]), mode
+
+    def test_nine_root_file_certified_at_both_factors(self, load_work):
+        # seed 3's alpha is a nontrivial cube root of 1 mod both factors: no search at all
+        key = generate_key(KeyMode.CUBIC9_COMPOSITE, bits=1024, seed=3)
+        assert all(key.alpha % f != 1 for f in key.factors)
+        text = serialize_key(key)
+        assert load_work(lambda: parse_key(text)) == (2, 2, 0)
+
+
+def test_inverses_mod_a_factor(keys1024, monkeypatch):
+    """Garner's q**-1 mod p is taken once per key, when it is built: a composite decrypt and a
+    digit stream take no inverse mod a factor, nor does a SQUARE decrypt's corrected guess invert
+    its ciphertext, and a nine-root file load takes that one inverse."""
+    moduli = []
+
+    def counting_pow(base, exponent, modulus=None):
+        if exponent == -1:
+            moduli.append(modulus)
+        return builtins.pow(base, exponent, modulus)
+
+    for module in (cubetag.modular, cubetag.roots, cubetag.keys, cubetag.cipher, cubetag.prng):
+        monkeypatch.setattr(module, "pow", counting_pow, raising=False)
+
+    def inverses(call, key):
+        moduli.clear()
+        call()
+        return sum(modulus in key.factors for modulus in moduli)
+
+    for mode in (KeyMode.CUBIC3_COMPOSITE, KeyMode.CUBIC9_COMPOSITE, KeyMode.SQUARE_COMPOSITE):
+        key = keys1024[mode]
+        for m in (2, 3, 5, 7):
+            ct = encrypt(m, key)
+            assert inverses(lambda: decrypt(ct, key), key) == 0, (mode, m)
+    key = keys1024[KeyMode.CUBIC9_COMPOSITE]
+    assert inverses(lambda: digit_stream(key, 5, 2, 100), key) == 0
+    text = serialize_key(key)
+    assert inverses(lambda: parse_key(text), key) == 1
 
 
 def test_root_routines_prove_each_plain_factor_once(keys1024, load_work):
