@@ -12,7 +12,7 @@ import math
 
 from .errors import InvalidArgumentError, NonResidueError, NotInvertibleError, _require_int, _show
 
-__all__ = ["crt_combine", "is_probable_prime", "kth_root_mod_prime", "mod_inverse"]
+__all__ = ["crt_combine", "is_probable_prime", "mod_inverse"]
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -70,36 +70,28 @@ def _garner(residue_p: int, residue_q: int, p: int, q: int, q_inv: int) -> int:
 def _primitive_unity_root(p: int, k: int) -> tuple[int, int]:
     """For p-1 = k**s * t, k not dividing t, s >= 1, and g the least k-th non-residue: g**t, of
     order k**s, and zeta = (g**t)**(k**(s-1)) = g**((p-1)/k), a primitive k-th root of 1.
-    That g is prime (residues are closed under products), so g runs 2, 3, 5, 7, 9, ..."""
+    That g is prime (residues are closed under products), so g runs 2, 3, 5, 7, 9, ...; for
+    k = 2 the Jacobi symbol passes over a residue with no exponentiation."""
     s, t = 0, p - 1
     while t % k == 0:
         s, t = s + 1, t // k
     g = 2
-    while (zeta := pow(generator := pow(g, t, p), k ** (s - 1), p)) == 1:
+    while k == 2 and _jacobi(g, p) == 1 or (
+            zeta := pow(generator := pow(g, t, p), k ** (s - 1), p)) == 1:
         g += 1 + g % 2
     return generator, zeta
 
 
-def kth_root_mod_prime(c: int, p: int, k: int) -> int:
-    """Return one k-th root x of c mod an odd prime p, for k = 2 or 3.
+def _kth_root(c: int, p: int, k: int, unity: tuple[int, int] | None) -> int:
+    """One k-th root x of c mod an odd prime p, for k = 2 or 3; `unity` is
+    _primitive_unity_root(p, k) where k**2 | p-1, else None (a key's record holds it).
 
     Adleman-Manders-Miller: with p-1 = k**s * t, k not dividing t, guess x = c**e, e = k^-1 mod t:
     a root whenever s <= 1 and c is a residue. Otherwise x**k / c = x**(k-1) * c**(e-1), taken
     with no inverse, lies in the subgroup generated by g**t, g the least k-th non-residue, and x is
     corrected there one base-k digit at a time against zeta = (g**t)**(k**(s-1)) (Tonelli-Shanks
-    for k = 2). A call that needs g searches for it; a key's decrypts reuse its one search.
-    p must be prime (not tested): the result is a verified root, else a CubeTagError is raised
-    (for p prime, NonResidueError exactly when c has no k-th root)."""
-    c, p, k = map(_require_int, ("c", "p", "k"), (c, p, k))
-    if k not in (2, 3):
-        raise InvalidArgumentError(f"root order must be 2 or 3, got {_show(k)}")
-    if p < 3 or p % 2 == 0:
-        raise InvalidArgumentError(f"modulus must be an odd prime, got {_show(p)}")
-    return _kth_root(c, p, k)
-
-
-def _kth_root(c: int, p: int, k: int, unity: tuple[int, int] | None = None) -> int:
-    """kth_root_mod_prime unchecked; `unity` is p's (g**t, zeta) where already searched."""
+    for k = 2). Every step keeps x**k = error * c, so x is returned only once it is a root;
+    NonResidueError is raised exactly when c has none."""
     c %= p
     if c == 0:
         return 0
@@ -108,29 +100,28 @@ def _kth_root(c: int, p: int, k: int, unity: tuple[int, int] | None = None) -> i
         s, t = s + 1, t // k
     z = pow(c, (pow(k, -1, t) or t) - 1, p)  # c**(e-1), e in [1, t] so that e-1 >= 0
     x = z * c % p
-    if (error := pow(x, k - 1, p) * z % p) == 1:  # x**k / c
-        return x
-    no_root = NonResidueError(
-        f"{_show(c)} has no {'square' if k == 2 else 'cube'} root mod {_show(p)}")
-    if s <= 1:  # then the guess is a root of every residue mod a prime
-        raise no_root
-    generator, zeta = unity or _primitive_unity_root(p, k)
-    m = s  # for a residue, error has order below k**m; generator has order k**m
-    while error != 1:
-        top = error
-        for i in range(1, m):
-            lifted = pow(top, k, p)
-            if lifted == 1:
-                break
-            top = lifted
-        else:
-            raise no_root
-        # top = error**(k**(i-1)) = zeta**j for some 0 < j < k.
-        w = pow(generator, k ** (m - i - 1), p)
-        generator, m = pow(w, k, p), i
-        step = k - 1 if top == zeta else 1  # k - j, so zeta**step * top == 1
-        x = x * pow(w, step, p) % p
-        error = error * pow(generator, step, p) % p
+    error = pow(x, k - 1, p) * z % p  # x**k / c
+    if error != 1 and s > 1:  # else the guess is a root of every residue mod a prime
+        generator, zeta = unity
+        m = s  # for a residue, error has order below k**m; generator has order k**m
+        while error != 1:
+            top = error
+            for i in range(1, m):
+                lifted = pow(top, k, p)
+                if lifted == 1:
+                    break
+                top = lifted
+            else:
+                break  # error has order k**m: c is no residue
+            # top = error**(k**(i-1)) = zeta**j for some 0 < j < k.
+            w = pow(generator, k ** (m - i - 1), p)
+            generator, m = pow(w, k, p), i
+            step = k - 1 if top == zeta else 1  # k - j, so zeta**step * top == 1
+            x = x * pow(w, step, p) % p
+            error = error * pow(generator, step, p) % p
+    if error != 1:
+        raise NonResidueError(
+            f"{_show(c)} has no {'square' if k == 2 else 'cube'} root mod {_show(p)}")
     return x
 
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 from .errors import InvalidArgumentError, _show
 from .modular import _ProvenPrime, _garner, _primitive_unity_root, crt_combine, is_probable_prime
 
-__all__ = ["cube_roots_of_unity_composite", "cube_roots_of_unity_prime",
-           "square_roots_of_unity_composite"]
+__all__ = ["cube_roots_of_unity_composite", "cube_roots_of_unity_prime"]
 
 
 class UnityRootSet:
@@ -65,25 +64,19 @@ def cube_roots_of_unity_composite(p: int, q: int) -> UnityRootSet:
     return _garner_product(p, q, *(cube_roots_of_unity_prime(f).roots for f in (p, q)))
 
 
-def square_roots_of_unity_composite(p: int, q: int) -> UnityRootSet:
-    """The four solutions of x**2 = 1 mod p*q for distinct odd primes p, q."""
-    p, q = _require_odd_prime(p), _require_odd_prime(q)
-    return _garner_product(p, q, (1, p - 1), (1, q - 1))
-
-
 def _unity_roots(k: int, factors: tuple[int, ...], alpha=None):
     """A key's roots of 1 and its record, which decrypts reuse: per factor f, the (g**t, zeta) of
     the AMM search where k**2 | f-1 (else None), and for two factors Garner's q**-1 mod p. Mod f
     the roots are the powers of a nontrivial one: -1 for squares; for cubes that zeta, or alpha
     mod f (a key file's alpha) where it is one, sparing a search. Other cube roots come from the
-    public routines (the composite one for a key from its factors alone), looked up as module
+    public routines (the composite one where neither factor has such a root), looked up as module
     globals at call time, so a wrapper installed on them sees every call made through here."""
     unity = tuple(_primitive_unity_root(f, k) if (f - 1) % k**2 == 0 else None for f in factors)
     q_inv = crt_combine(1, 0, *factors) // factors[1] if len(factors) == 2 else None
     zetas = [u[1] if u else f - 1 if k == 2 else (alpha or 1) % f for f, u in zip(factors, unity)]
     residues = [{pow(z, i, f) for i in range(k)} if z != 1 and pow(z, k, f) == 1 else None
                 for f, z in zip(factors, zetas)]
-    if None in residues and alpha is None and q_inv:
+    if q_inv and not any(residues):
         return cube_roots_of_unity_composite(*factors), (unity, q_inv)
     residues = [r or cube_roots_of_unity_prime(f).roots for f, r in zip(factors, residues)]
     if q_inv:

@@ -307,6 +307,21 @@ class TestRootCountAgainstRabin:
         assert counts == decrypt_counts
 
 
+def test_only_a_non_residue_builds_its_error(monkeypatch):
+    # seed 5's 1024-bit SQUARE q has 32 | q-1, so 11 of these 12 first guesses mod q are
+    # corrected; the NonResidueError, with the decimal forms of c and the factor, is built only
+    # where c has no root
+    key = generate_key(KeyMode.SQUARE_COMPOSITE, bits=1024, seed=5)
+    shown = []
+    monkeypatch.setattr(cubetag.modular, "_show", lambda value: shown.append(value) or str(value))
+    for m in range(2, 14):
+        assert decrypt(encrypt(m, key), key) == m
+    assert shown == []
+    with pytest.raises(NonResidueError):  # 7 is no square mod q
+        decrypt_candidates(encrypt(2, key).c * 7 % key.n, key)
+    assert len(shown) == 2
+
+
 class TestSquareMode:
     def test_derived_example(self, key77_square):
         ct = encrypt(12, key77_square)

@@ -25,7 +25,6 @@ from cubetag import (
     encrypt,
     generate_key,
     key_from_factors,
-    kth_root_mod_prime,
     mod_inverse,
     parse_ciphertext,
     parse_key,
@@ -49,9 +48,6 @@ def test_invalid_arguments_are_typed(key77, key91):
         lambda: digit_stream(key91, 5, 2, 3.0),  # count not an int
         lambda: crt_combine(1, 2, 3.0, 5),  # modulus not an int
         lambda: crt_combine(1.0, 2, 3, 5),  # residue not an int
-        lambda: kth_root_mod_prime(2, 7.0, 3),  # modulus not an int
-        lambda: kth_root_mod_prime(2.0, 7, 3),  # residue not an int
-        lambda: kth_root_mod_prime(2, 7, 2.0),  # order not an int
     )
     for probe in probes:
         with pytest.raises(CubeTagError) as info:

@@ -37,7 +37,6 @@ from cubetag import (
     parse_key,
     serialize_ciphertext,
     serialize_key,
-    square_roots_of_unity_composite,
 )
 from cubetag.formats import MAX_FILE_CHARS
 from oracles import kth_roots_of_unity, sieve
@@ -643,8 +642,6 @@ class TestNonPrimeFactorsRejected:
             lambda: cube_roots_of_unity_prime(_COMPOSITE),
             lambda: cube_roots_of_unity_composite(_COMPOSITE, 11),
             lambda: cube_roots_of_unity_composite(11, _COMPOSITE),
-            lambda: square_roots_of_unity_composite(_COMPOSITE, 11),
-            lambda: square_roots_of_unity_composite(11, _COMPOSITE),
         ):
             with pytest.raises(InvalidArgumentError, match="not an odd prime"):
                 call()
@@ -955,13 +952,35 @@ def test_inverses_mod_a_factor(keys1024, monkeypatch):
     assert inverses(lambda: parse_key(text), key) == 1
 
 
+def test_a_factor_with_its_own_cube_roots_is_searched_once(monkeypatch):
+    # 9 | 19-1, so 19's search for the decrypts' generator also gives its cube roots of 1: the
+    # composite routine, which would search 19 again, runs only where no factor has its own
+    # roots, and Garner's inverse mod 19 is taken once, for the key's record
+    searched, inverses = [], []
+
+    def counting_search(p, k, original=cubetag.roots._primitive_unity_root):
+        searched.append(p)
+        return original(p, k)
+
+    def counting_pow(base, exponent, modulus=None):
+        if exponent == -1:
+            inverses.append(modulus)
+        return builtins.pow(base, exponent, modulus)
+
+    monkeypatch.setattr(cubetag.roots, "_primitive_unity_root", counting_search)
+    for module in (cubetag.modular, cubetag.roots, cubetag.keys):
+        monkeypatch.setattr(module, "pow", counting_pow, raising=False)
+    key = key_from_factors(KeyMode.CUBIC9_COMPOSITE, 19, 7)
+    assert (searched, inverses) == ([19, 7], [19])
+    assert key.roots.roots == kth_roots_of_unity(133, 3)
+
+
 def test_root_routines_prove_each_plain_factor_once(keys1024, load_work):
     # a routine's own guard proves each plain-int factor and passes it on proven; both
     # factors have 3 | f-1, so each has a primitive cube root of 1 to search for
     p, q = (int(f) for f in keys1024[KeyMode.CUBIC9_COMPOSITE].factors)
     assert load_work(lambda: cube_roots_of_unity_prime(p)) == (1, 1, 1)
     assert load_work(lambda: cube_roots_of_unity_composite(p, q)) == (2, 2, 2)
-    assert load_work(lambda: square_roots_of_unity_composite(p, q)) == (2, 2, 0)
 
 
 _SEARCH_WORK = ((cubetag.keys, "is_probable_prime"), (cubetag.modular, "_baillie_psw"),

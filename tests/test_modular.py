@@ -1,3 +1,4 @@
+import builtins
 import math
 import random
 
@@ -5,17 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cubetag.modular
 from cubetag import (
-    CubeTagError,
     InvalidArgumentError,
+    KeyMode,
     NonResidueError,
     NotInvertibleError,
     crt_combine,
+    generate_key,
     is_probable_prime,
-    kth_root_mod_prime,
     mod_inverse,
 )
-from cubetag.modular import _baillie_psw, _jacobi, _strong_lucas, _strong_probable_prime
+from cubetag.modular import (_baillie_psw, _jacobi, _kth_root, _primitive_unity_root,
+                             _strong_lucas, _strong_probable_prime)
 from oracles import sieve, squares_mod, trial_division_prime
 from shaped_primes import SHAPED_PRIMES
 
@@ -106,73 +109,77 @@ class TestCrtCombine:
             assert crt_combine(x % p, x % q, p, q) == x
 
 
+def _record(p, k):
+    """What a key holds for its factor p and hands to _kth_root: p's search where k**2 | p-1."""
+    return _primitive_unity_root(p, k) if (p - 1) % k**2 == 0 else None
+
+
+def _root(c, p, k):
+    return _kth_root(c, p, k, _record(p, k))
+
+
 class TestQuadraticResidue:
     """Residue detection: a square root exists or NonResidueError is raised."""
 
     def test_paper_cases(self):
         with pytest.raises(NonResidueError):
-            kth_root_mod_prime(8, 11, 2)
-        assert kth_root_mod_prime(4, 7, 2) in (2, 5)
+            _root(8, 11, 2)
+        assert _root(4, 7, 2) in (2, 5)
 
     @pytest.mark.parametrize("p", [3, 7, 11, 31, 97])
     def test_one_is_always_square(self, p):
-        assert kth_root_mod_prime(1, p, 2) in (1, p - 1)
-
-    def test_even_modulus_rejected(self):
-        with pytest.raises(ValueError):
-            kth_root_mod_prime(3, 8, 2)
+        assert _root(1, p, 2) in (1, p - 1)
 
     def test_agrees_with_enumeration_below_500(self):
-        for p in sieve(500):
-            if p == 2:
-                continue
-            squares = squares_mod(p)
+        for p in sieve(500)[1:]:
+            squares, unity = squares_mod(p), _record(p, 2)
             for b in range(1, p):
                 if b in squares:
-                    kth_root_mod_prime(b, p, 2)
+                    _kth_root(b, p, 2, unity)
                 else:
                     with pytest.raises(NonResidueError):
-                        kth_root_mod_prime(b, p, 2)
+                        _kth_root(b, p, 2, unity)
 
 
 class TestSqrtModPrime:
     def test_trivial(self):
-        assert kth_root_mod_prime(1, 31, 2) in (1, 30)
-        assert kth_root_mod_prime(0, 31, 2) == 0
+        assert _root(1, 31, 2) in (1, 30)
+        assert _root(0, 31, 2) == 0
 
     def test_small_case_from_enumeration(self):
         # 3*3 = 4*4 = 2 mod 7
-        assert kth_root_mod_prime(2, 7, 2) in (3, 4)
+        assert _root(2, 7, 2) in (3, 4)
 
     def test_non_residue_rejected(self):
         with pytest.raises(NonResidueError):
-            kth_root_mod_prime(8, 11, 2)
+            _root(8, 11, 2)
         with pytest.raises(NonResidueError):
-            kth_root_mod_prime(3, 5, 2)  # p = 1 mod 4: the digit-correction path
+            _root(3, 5, 2)  # p = 1 mod 4: the digit-correction path
 
     def test_matches_exhaustive_search_below_500(self):
         # covers both the single-exponent path and digit correction
-        for p in sieve(500):
-            if p == 2:
-                continue
+        for p in sieve(500)[1:]:
+            unity = _record(p, 2)
             for b in squares_mod(p):
-                r = kth_root_mod_prime(b, p, 2)
+                r = _kth_root(b, p, 2, unity)
                 assert 0 < r < p and r * r % p == b
 
 
 def _check_every_residue(p: int, k: int) -> None:
     """Every residue mod p round-trips; every non-residue raises."""
-    residues = {pow(x, k, p) for x in range(1, p)}
-    assert kth_root_mod_prime(0, p, k) == 0
+    residues, unity = {pow(x, k, p) for x in range(1, p)}, _record(p, k)
+    assert _kth_root(0, p, k, unity) == 0
     for c in range(1, p):
         if c in residues:
-            assert pow(kth_root_mod_prime(c, p, k), k, p) == c
+            assert pow(_kth_root(c, p, k, unity), k, p) == c
         else:
             with pytest.raises(NonResidueError):
-                kth_root_mod_prime(c, p, k)
+                _kth_root(c, p, k, unity)
 
 
 class TestKthRootModPrime:
+    """_kth_root, the one k-th root routine per prime, given the record a key holds."""
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_brute_force_below_2000(self, k):
         for p in sieve(2000)[1:]:
@@ -186,23 +193,19 @@ class TestKthRootModPrime:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_composite_modulus_never_gives_a_wrong_root(self, k):
-        # p must be prime, but a composite one still gets a verified root or
-        # a typed error: never a non-root (8**3 = 8 mod 9) or a bare ValueError
+        # each step keeps x**k = error * c whatever the modulus, so even a composite one gets
+        # a verified root or NonResidueError: never a non-root (8**3 = 8 mod 9)
         primes = set(sieve(400))
         for p in range(9, 400, 2):
             if p in primes:
                 continue
+            unity = _record(p, k)
             for c in range(1, p):
                 try:
-                    x = kth_root_mod_prime(c, p, k)
-                except CubeTagError:
+                    x = _kth_root(c, p, k, unity)
+                except NonResidueError:
                     continue
                 assert pow(x, k, p) == c, (c, p, k, x)
-
-    @pytest.mark.parametrize("k", [1, 4])
-    def test_unsupported_order_rejected(self, k):
-        with pytest.raises(ValueError):
-            kth_root_mod_prime(2, 31, k)
 
     # The shapes give s = 1 and s >= 2 for k = 2, and s = 0, 1 and >= 2 for k = 3.
     @pytest.mark.parametrize("shape", sorted(SHAPED_PRIMES), ids=lambda s: "-".join(map(str, s)))
@@ -213,13 +216,33 @@ class TestKthRootModPrime:
         p = SHAPED_PRIMES[shape]
         x = x % (p - 1) + 1
         c = pow(x, k, p)
-        assert pow(kth_root_mod_prime(c, p, k), k, p) == c
+        assert pow(_root(c, p, k), k, p) == c
         if (p - 1) % k == 0:
             g = 2
             while pow(g, (p - 1) // k, p) == 1:
                 g += 1
             with pytest.raises(NonResidueError):
-                kth_root_mod_prime(c * g % p, p, k)
+                _root(c * g % p, p, k)
+
+
+def test_square_search_passes_over_residues_by_jacobi(monkeypatch):
+    # seed 5's 1024-bit SQUARE q has 32 | q-1 and least non-residue 7: the Jacobi symbol passes
+    # over 2, 3 and 5 with no exponentiation, where each took two
+    q = generate_key(KeyMode.SQUARE_COMPOSITE, bits=1024, seed=5).q
+    moduli = []
+
+    def counting_pow(base, exponent, modulus=None):
+        moduli.append(modulus)
+        return builtins.pow(base, exponent, modulus)
+
+    monkeypatch.setattr(cubetag.modular, "pow", counting_pow, raising=False)
+    found = _primitive_unity_root(q, 2)
+    assert moduli.count(q) == 2
+    monkeypatch.undo()
+    for p in [q] + [p for p in sieve(2000) if p % 4 == 1]:  # still the least non-residue's
+        g = next(g for g in range(2, p) if pow(g, (p - 1) // 2, p) != 1)
+        t = (p - 1) // ((p - 1) & -(p - 1))
+        assert (found if p == q else _primitive_unity_root(p, 2)) == (pow(g, t, p), p - 1)
 
 
 class TestIsProbablePrime:

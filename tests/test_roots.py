@@ -9,7 +9,6 @@ from cubetag import (
     cube_roots_of_unity_prime,
     generate_key,
     key_from_factors,
-    square_roots_of_unity_composite,
 )
 from oracles import kth_roots_of_unity, sieve
 from shaped_primes import SHAPED_PRIMES
@@ -104,7 +103,13 @@ class TestCubeRootsComposite:
             assert b * b % n == a
 
 
+def _square_roots(p, q):
+    return key_from_factors(KeyMode.SQUARE_COMPOSITE, p, q).roots
+
+
 class TestSquareRootsComposite:
+    """A SQUARE key's roots of 1: -1 and 1 mod each factor, joined by CRT."""
+
     @pytest.mark.parametrize(
         "p,q,expected",
         [
@@ -113,23 +118,23 @@ class TestSquareRootsComposite:
         ],
     )
     def test_known_sets(self, p, q, expected):
-        assert square_roots_of_unity_composite(p, q).roots == expected
+        assert _square_roots(p, q).roots == expected
 
     def test_matches_enumeration(self):
         for p, q in [(3, 5), (7, 11), (13, 17), (41, 43)]:
             n = p * q
-            assert square_roots_of_unity_composite(p, q).roots == kth_roots_of_unity(n, 2)
+            assert _square_roots(p, q).roots == kth_roots_of_unity(n, 2)
 
     def test_contains_one_and_minus_one(self):
         for p, q in [(3, 5), (7, 11), (29, 31)]:
-            root_set = square_roots_of_unity_composite(p, q)
+            root_set = _square_roots(p, q)
             n = p * q
             assert 1 in root_set.roots and n - 1 in root_set.roots
             assert len(root_set) == 4
 
     def test_equal_factors_rejected(self):
         with pytest.raises(ValueError):
-            square_roots_of_unity_composite(11, 11)
+            _square_roots(11, 11)
 
 
 class TestNonIntFactorsRefused:
@@ -141,9 +146,7 @@ class TestNonIntFactorsRefused:
         lambda f: cube_roots_of_unity_prime(f),
         lambda f: cube_roots_of_unity_composite(f, 13.0),
         lambda f: cube_roots_of_unity_composite(7, f),
-        lambda f: square_roots_of_unity_composite(f, 11.0),
-        lambda f: square_roots_of_unity_composite(13, f),
-    ], ids=["cube-prime", "cube-composite-p", "cube-composite-q", "square-p", "square-q"])
+    ], ids=["cube-prime", "cube-composite-p", "cube-composite-q"])
     def test_refused(self, call, factor):
         with pytest.raises(InvalidArgumentError) as info:
             call(factor)
@@ -175,7 +178,7 @@ class TestRealSizes:
         cubes = cube_roots_of_unity_composite(p, q).roots
         assert len(cubes) == 9 and all(pow(u, 3, p * q) == 1 for u in cubes)
         p = SHAPED_PRIMES[512, 1, 0]
-        squares = square_roots_of_unity_composite(p, q).roots
+        squares = _square_roots(p, q).roots
         assert len(squares) == 4 and all(u * u % (p * q) == 1 for u in squares)
 
 
