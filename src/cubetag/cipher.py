@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import (InvalidArgumentError, InvalidCiphertextError, InvalidMessageError,
-                     NonResidueError, TagRangeError, _show)
+from .errors import InvalidArgumentError, InvalidCiphertextError, InvalidMessageError, _show
 from .formats import decimal_field, decimal_lines, file_lines, require_lines
 from .modular import _garner, _kth_root
 
@@ -40,9 +39,9 @@ def _companions(value: int, key: KeyMaterial) -> list[int]:
 
 
 def _require_ciphertext(c: int, key: KeyMaterial) -> None:
-    """A ciphertext has a unique tagged preimage only in [1, n) and coprime to n."""
+    """A ciphertext has a unique tagged preimage only as an int in [1, n) and coprime to n."""
     n = key.n
-    if not 1 <= c < n or math.gcd(c, n) != 1:
+    if not isinstance(c, int) or not 1 <= c < n or math.gcd(c, n) != 1:
         raise InvalidCiphertextError(
             f"ciphertext must be in [1, {_show(n)}) and coprime to n, got {_show(c)}")
 
@@ -79,7 +78,7 @@ def cube_root_by_exponent(c: int, key: KeyMaterial) -> int:
         )
     root = pow(c, pow(3, -1, phi // 3), n)
     if pow(root, 3, n) != c:
-        raise NonResidueError(f"{_show(c)} is not a cubic residue mod {_show(n)}")
+        raise InvalidCiphertextError(f"{_show(c)} is not a cubic residue mod {_show(n)}")
     return root
 
 
@@ -87,9 +86,8 @@ def decrypt_candidates(c: int, key: KeyMaterial) -> list[int]:
     """The full ascending preimage set of c: every x with x**k = c mod n, k the key's exponent.
 
     One k-th root modulo each prime factor, joined by CRT (a prime modulus is the one-factor
-    case), and its companions. Raises InvalidCiphertextError unless 1 <= c < n and
-    gcd(c, n) = 1, PrivateKeyRequiredError for a public key, and NonResidueError when c has
-    no k-th root.
+    case), and its companions. Raises InvalidCiphertextError unless c is an int in [1, n),
+    coprime to n and a k-th residue, and PrivateKeyRequiredError for a public key.
     """
     _require_ciphertext(c, key)
     factors, (unity, q_inv), k = key.factors, key._record, key.mode.exponent
@@ -101,8 +99,8 @@ def decrypt(ct: TaggedCiphertext, key: KeyMaterial) -> int:
     """Invert a tagged ciphertext: recover one root, list its companions in
     ascending order, return the tag-th one."""
     expected = len(key.roots)
-    if not 1 <= ct.tag <= expected:
-        raise TagRangeError(f"tag {_show(ct.tag)} outside [1, {expected}]")
+    if not isinstance(ct.tag, int) or not 1 <= ct.tag <= expected:
+        raise InvalidCiphertextError(f"tag {_show(ct.tag)} outside [1, {expected}]")
     return decrypt_candidates(ct.c, key)[ct.tag - 1]
 
 

@@ -1,18 +1,17 @@
 """Exception types shared across the package.
 
-Every failure the package raises is a ``CubeTagError``. Generic domain
-errors (bad modulus, non-prime factor, out-of-range radix and the like) are
-``InvalidArgumentError``, which is also a ``ValueError``; the other classes
-exist where callers need to distinguish the failure, e.g. a failed inversion
-modulo a composite reveals a factor.
+Every failure the package raises is a ``CubeTagError``, and a class exists only where a caller
+can act on the distinction. A bad argument (a modulus, a factor that is not prime or does not
+fit the mode, a radix out of range and the like) is ``InvalidArgumentError``, also a
+``ValueError``; a (c, tag) pair that cannot be inverted is ``InvalidCiphertextError``; the
+other classes carry what a caller acts on (a shared factor, a gcd, a line) or name a public key.
 """
 
 import reprlib
 
 __all__ = [
-    "CubeTagError", "InvalidArgumentError", "InvalidCiphertextError",
-    "InvalidMessageError", "KeyFileError", "KeyGenerationError", "NonResidueError",
-    "NotInvertibleError", "PrivateKeyRequiredError", "TagRangeError",
+    "CubeTagError", "InvalidArgumentError", "InvalidCiphertextError", "InvalidMessageError",
+    "KeyFileError", "NotInvertibleError", "PrivateKeyRequiredError",
 ]
 
 
@@ -56,10 +55,6 @@ class NotInvertibleError(CubeTagError):
         self.gcd = gcd
 
 
-class NonResidueError(CubeTagError):
-    """The value has no k-th root for the requested modulus."""
-
-
 class InvalidMessageError(CubeTagError):
     """Message rejected at encryption time (out of range or gcd(m, n) != 1)."""
 
@@ -71,15 +66,7 @@ class InvalidMessageError(CubeTagError):
 
 
 class InvalidCiphertextError(CubeTagError):
-    """Ciphertext cannot be decrypted: outside [1, n) or not coprime to n."""
-
-
-class TagRangeError(InvalidCiphertextError):
-    """Rank tag outside [1, root count]."""
-
-
-class KeyGenerationError(CubeTagError):
-    """Key constraints could not be satisfied."""
+    """(c, tag) has no inverse: c no k-th residue in [1, n) coprime to n, or a tag out of range."""
 
 
 class KeyFileError(CubeTagError):

@@ -5,7 +5,7 @@ so every file that parses re-serializes to the same bytes. Package-internal, not
 import re
 from itertools import zip_longest
 
-from .errors import InvalidArgumentError, KeyFileError, _show
+from .errors import InvalidArgumentError, KeyFileError, _require_int, _show
 
 # Canonical ASCII decimal: no sign, no leading zero, at most 4300 digits (Python's default
 # int/str limit), so below DECIMAL_BOUND. The longest file is six lines of alpha=<4300 digits>.
@@ -59,10 +59,11 @@ def require_lines(lines: list[str], serialized: str) -> None:
 
 
 def decimal_lines(fields: dict[str, int]) -> str:
-    """`name=value` lines, refusing a value that is no canonical decimal of the formats."""
-    if any(not 0 <= value < DECIMAL_BOUND for value in fields.values()):
+    """`name=value` lines, refusing a value that is no canonical decimal of the formats (a bool
+    is written as its int)."""
+    if any(not 0 <= _require_int(name, value) < DECIMAL_BOUND for name, value in fields.items()):
         raise InvalidArgumentError(f"file values must be decimals of at most {MAX_DIGITS} digits")
     try:
-        return "".join(f"{name}={value}\n" for name, value in fields.items())
+        return "".join(f"{name}={value:d}\n" for name, value in fields.items())
     except ValueError as exc:  # past an interpreter's lowered int/str conversion limit
         raise InvalidArgumentError(f"file values: {exc}") from None

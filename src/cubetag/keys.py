@@ -25,8 +25,8 @@ import enum
 import math
 from typing import NamedTuple
 
-from .errors import (InvalidArgumentError, KeyFileError, KeyGenerationError,
-                     PrivateKeyRequiredError, _require_int, _show)
+from .errors import (InvalidArgumentError, KeyFileError, PrivateKeyRequiredError, _require_int,
+                     _show)
 from .formats import (DECIMAL_BOUND, MAX_DIGITS, decimal_field, decimal_lines, file_lines,
                       require_lines)
 from .modular import _ProvenPrime, is_probable_prime
@@ -117,8 +117,8 @@ class KeyMaterial:
             raise InvalidArgumentError("n must be the product of the factors")
         phi = math.prod(f - 1 for f in factors)
         if not spec.constraint(self.p, phi):
-            raise KeyGenerationError(f"{self.mode.value} needs {spec.requirement}; "
-                                     f"p={_show(self.p)}, phi={_show(phi)} fails")
+            raise InvalidArgumentError(f"{self.mode.value} needs {spec.requirement}; "
+                                       f"p={_show(self.p)}, phi={_show(phi)} fails")
         factors = tuple(map(_require_odd_prime, factors))
         roots, record = _unity_roots(spec.exponent, factors, _alpha)
         alpha = roots.roots[1] if "alpha" in spec.private_fields else None
@@ -167,9 +167,10 @@ class KeyMaterial:
         return KeyMaterial(mode=self.mode, n=self.n)
 
 
-def key_from_factors(mode: KeyMode, p: int, q: int | None = None, *, _alpha=None) -> KeyMaterial:
+def key_from_factors(mode: KeyMode, p: int, q: int | None = None) -> KeyMaterial:
     """The private key of `mode` with factors p and q (p alone in prime mode): see KeyMaterial."""
-    return KeyMaterial(mode, math.prod((p,) if q is None else (p, q)), p, q, _alpha=_alpha)
+    factors = (p,) if q is None else (p, q)
+    return KeyMaterial(mode, math.prod(map(_require_int, ("p", "q"), factors)), p, q)
 
 
 def _random_prime(rng: random.Random, bits: int, accept) -> int:
@@ -178,7 +179,7 @@ def _random_prime(rng: random.Random, bits: int, accept) -> int:
         candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
         if accept(candidate) and is_probable_prime(candidate, rng=rng):
             return _ProvenPrime(candidate)  # the seeded test just run is the proof
-    raise KeyGenerationError(
+    raise InvalidArgumentError(
         f"no {bits}-bit prime satisfying the mode constraints found; "
         "constraints may be unsatisfiable at this size"
     )
@@ -228,8 +229,8 @@ def parse_key(text: str) -> KeyMaterial:
     file that must read exactly as serialize_key writes the key its factors give.
 
     Only mode, n, the factors (p= and q=, lines 3 and 4, or n= in prime mode) and alpha are
-    read. n is compared with the factors' product before key_from_factors builds the one key
-    they give, sparing the root search where alpha certifies the roots. So each key has one
+    read. n is compared with the factors' product before KeyMaterial builds the one key they
+    give, sparing the root search where alpha certifies the roots. So each key has one
     private file, its alpha the smallest nontrivial root. KeyFileError names the first line at
     fault; for invalid factors, that of the factor a primality check refused, else the first's.
     """
@@ -253,8 +254,8 @@ def parse_key(text: str) -> KeyMaterial:
         alpha = None
     try:  # a product too long for the n= line fails here, as invalid key material
         require_lines(lines[:2], f"{lines[0]}\n" + decimal_lines({"n": math.prod(factors)}))
-        key = key_from_factors(mode, *factors, _alpha=alpha)
-    except (ValueError, KeyGenerationError) as exc:
+        key = KeyMaterial(mode, n, *factors, _alpha=alpha)
+    except ValueError as exc:
         refused = (i for i, f in zip(at, factors) if str(exc) == f"{_show(f)} is not an odd prime")
         raise KeyFileError(f"invalid key material: {exc}", line=next(refused, at[0]) + 1) from exc
     require_lines(lines, serialize_key(key))

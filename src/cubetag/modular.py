@@ -10,7 +10,8 @@ from __future__ import annotations
 import functools
 import math
 
-from .errors import InvalidArgumentError, NonResidueError, NotInvertibleError, _require_int, _show
+from .errors import (InvalidArgumentError, InvalidCiphertextError, NotInvertibleError,
+                     _require_int, _show)
 
 __all__ = ["crt_combine", "is_probable_prime", "mod_inverse"]
 
@@ -91,7 +92,7 @@ def _kth_root(c: int, p: int, k: int, unity: tuple[int, int] | None) -> int:
     with no inverse, lies in the subgroup generated by g**t, g the least k-th non-residue, and x is
     corrected there one base-k digit at a time against zeta = (g**t)**(k**(s-1)) (Tonelli-Shanks
     for k = 2). Every step keeps x**k = error * c, so x is returned only once it is a root;
-    NonResidueError is raised exactly when c has none."""
+    InvalidCiphertextError is raised exactly when c has none."""
     c %= p
     if c == 0:
         return 0
@@ -120,7 +121,7 @@ def _kth_root(c: int, p: int, k: int, unity: tuple[int, int] | None) -> int:
             x = x * pow(w, step, p) % p
             error = error * pow(generator, step, p) % p
     if error != 1:
-        raise NonResidueError(
+        raise InvalidCiphertextError(
             f"{_show(c)} has no {'square' if k == 2 else 'cube'} root mod {_show(p)}")
     return x
 
@@ -128,10 +129,13 @@ def _kth_root(c: int, p: int, k: int, unity: tuple[int, int] | None) -> int:
 class _ProvenPrime(int):
     """An int that has passed is_probable_prime, so the test need not run again.
 
-    Arithmetic on it gives plain ints: only the factor itself carries the proof.
+    Arithmetic on it and a pickle of it give plain ints: only the factor itself carries the proof.
     """
 
     __slots__ = ()
+
+    def __reduce__(self):
+        return int, (int(self),)
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:

@@ -13,9 +13,7 @@ from cubetag import (
     InvalidMessageError,
     KeyFileError,
     KeyMode,
-    NonResidueError,
     PrivateKeyRequiredError,
-    TagRangeError,
     TaggedCiphertext,
     companion_table,
     cube_root_by_exponent,
@@ -103,7 +101,7 @@ class TestCubeRootByExponent:
     def test_non_residue_rejected(self, key31):
         residues = {pow(m, 3, 31) for m in range(1, 31)}
         assert 3 not in residues
-        with pytest.raises(NonResidueError):
+        with pytest.raises(InvalidCiphertextError):
             cube_root_by_exponent(3, key31)
 
     def test_sound_for_every_residue(self, key77):
@@ -166,7 +164,7 @@ def _keys_that_correct_their_guess(limit):
 def _candidates_or_none(c, key):
     try:
         return decrypt_candidates(c, key)
-    except NonResidueError:
+    except InvalidCiphertextError:
         return None
 
 
@@ -196,9 +194,9 @@ class TestDecrypt:
         assert decrypt(TaggedCiphertext(83, 2, key91.mode), key91) == 24
 
     def test_tag_out_of_range(self, key77):
-        with pytest.raises(TagRangeError):
+        with pytest.raises(InvalidCiphertextError):
             decrypt(TaggedCiphertext(34, 4, key77.mode), key77)
-        with pytest.raises(TagRangeError):
+        with pytest.raises(InvalidCiphertextError):
             decrypt(TaggedCiphertext(34, 0, key77.mode), key77)
 
     def test_non_coprime_ciphertext_rejected(self, key77):
@@ -271,7 +269,7 @@ class TestRootCountAgainstRabin:
         # 2*u for the roots u share one c and one companion set: their tags are 1..count
         cts = [encrypt(2 * u % key.n, key) for u in key.roots]
         assert sorted(ct.tag for ct in cts) == list(range(1, count + 1))
-        with pytest.raises(TagRangeError):
+        with pytest.raises(InvalidCiphertextError):
             decrypt(TaggedCiphertext(cts[0].c, count + 1, mode), key)
         for ct in cts:
             assert ct.c == cts[0].c
@@ -309,15 +307,15 @@ class TestRootCountAgainstRabin:
 
 def test_only_a_non_residue_builds_its_error(monkeypatch):
     # seed 5's 1024-bit SQUARE q has 32 | q-1, so 11 of these 12 first guesses mod q are
-    # corrected; the NonResidueError, with the decimal forms of c and the factor, is built only
-    # where c has no root
+    # corrected; the InvalidCiphertextError, with the decimal forms of c and the factor, is built
+    # only where c has no root
     key = generate_key(KeyMode.SQUARE_COMPOSITE, bits=1024, seed=5)
     shown = []
     monkeypatch.setattr(cubetag.modular, "_show", lambda value: shown.append(value) or str(value))
     for m in range(2, 14):
         assert decrypt(encrypt(m, key), key) == m
     assert shown == []
-    with pytest.raises(NonResidueError):  # 7 is no square mod q
+    with pytest.raises(InvalidCiphertextError):  # 7 is no square mod q
         decrypt_candidates(encrypt(2, key).c * 7 % key.n, key)
     assert len(shown) == 2
 

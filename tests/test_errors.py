@@ -11,7 +11,6 @@ from cubetag import (
     InvalidCiphertextError,
     InvalidMessageError,
     KeyFileError,
-    KeyGenerationError,
     KeyMaterial,
     KeyMode,
     NotInvertibleError,
@@ -57,6 +56,51 @@ def test_invalid_arguments_are_typed(key77, key91):
         assert isinstance(info.value, ValueError)
 
 
+def _decrypt91(c, tag):
+    return lambda key91: decrypt(TaggedCiphertext(c, tag, key91.mode), key91)
+
+
+def _factors(mode, p, q):
+    return lambda key91: key_from_factors(mode, p, q)
+
+
+_NOT_91 = "ciphertext must be in [1, 91) and coprime to n, got "
+
+# One class per failure a caller can act on: a (c, tag) pair under the 7*13 key that cannot be
+# inverted, whatever the reason, and a bad argument to key building, whatever the argument.
+ONE_CLASS_PER_BAD_INPUT = {
+    "c=0": (_decrypt91(0, 1), InvalidCiphertextError, _NOT_91 + "0"),
+    "c=n": (_decrypt91(91, 1), InvalidCiphertextError, _NOT_91 + "91"),
+    "c shares 7": (_decrypt91(14, 1), InvalidCiphertextError, _NOT_91 + "14"),
+    "c no cube": (_decrypt91(2, 1), InvalidCiphertextError, "2 has no cube root mod 7"),
+    "c float": (_decrypt91(34.0, 1), InvalidCiphertextError, _NOT_91 + "34.0"),
+    "tag=0": (_decrypt91(83, 0), InvalidCiphertextError, "tag 0 outside [1, 9]"),
+    "tag=10": (_decrypt91(83, 10), InvalidCiphertextError, "tag 10 outside [1, 9]"),
+    "tag float": (_decrypt91(83, 1.5), InvalidCiphertextError, "tag 1.5 outside [1, 9]"),
+    "mode shape": (_factors(KeyMode.CUBIC9_COMPOSITE, 7, 11), InvalidArgumentError,
+                   "CUBIC9_COMPOSITE needs phi divisible by 9; p=7, phi=60 fails"),
+    "equal": (_factors(KeyMode.CUBIC3_COMPOSITE, 7, 7), InvalidArgumentError,
+              "factors must be distinct"),
+    "not prime": (_factors(KeyMode.CUBIC3_COMPOSITE, 7, 15), InvalidArgumentError,
+                  "15 is not an odd prime"),
+    "p None": (_factors(KeyMode.SQUARE_COMPOSITE, None, 11), InvalidArgumentError,
+               "p must be an int, got None"),
+    "p str": (_factors(KeyMode.SQUARE_COMPOSITE, "7", 11), InvalidArgumentError,
+              "p must be an int, got '7'"),
+    "no prime": (lambda key91: generate_key(KeyMode.CUBIC9_COMPOSITE, 8, seed=1),
+                 InvalidArgumentError, "no 4-bit prime satisfying the mode constraints found; "
+                 "constraints may be unsatisfiable at this size"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", ONE_CLASS_PER_BAD_INPUT.values(),
+                         ids=ONE_CLASS_PER_BAD_INPUT)
+def test_one_class_per_bad_input(key91, call, error, message):
+    with pytest.raises(CubeTagError) as info:
+        call(key91)
+    assert type(info.value) is error and str(info.value) == message
+
+
 @pytest.fixture
 def lowered_int_str_limit():
     """Lower the interpreter's int/str conversion limit to its least, 640 digits, then restore it."""
@@ -94,7 +138,7 @@ PAST_THE_LIMIT = {
     "serialize_key": (serialize_key, InvalidArgumentError),
     "mod_inverse": (lambda key: mod_inverse(key.p, key.n), NotInvertibleError),
     "KeyMaterial": (lambda key: KeyMaterial(KeyMode.CUBIC9_COMPOSITE, key.n, key.p, key.q),
-                    KeyGenerationError),
+                    InvalidArgumentError),
     "KeyMaterial mode": (lambda key: KeyMaterial(key.n, 5), InvalidArgumentError),
 }
 

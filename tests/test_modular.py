@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import cubetag.modular
 from cubetag import (
     InvalidArgumentError,
+    InvalidCiphertextError,
     KeyMode,
-    NonResidueError,
     NotInvertibleError,
     crt_combine,
     generate_key,
@@ -119,10 +119,10 @@ def _root(c, p, k):
 
 
 class TestQuadraticResidue:
-    """Residue detection: a square root exists or NonResidueError is raised."""
+    """Residue detection: a square root exists or InvalidCiphertextError is raised."""
 
     def test_paper_cases(self):
-        with pytest.raises(NonResidueError):
+        with pytest.raises(InvalidCiphertextError):
             _root(8, 11, 2)
         assert _root(4, 7, 2) in (2, 5)
 
@@ -137,7 +137,7 @@ class TestQuadraticResidue:
                 if b in squares:
                     _kth_root(b, p, 2, unity)
                 else:
-                    with pytest.raises(NonResidueError):
+                    with pytest.raises(InvalidCiphertextError):
                         _kth_root(b, p, 2, unity)
 
 
@@ -151,9 +151,9 @@ class TestSqrtModPrime:
         assert _root(2, 7, 2) in (3, 4)
 
     def test_non_residue_rejected(self):
-        with pytest.raises(NonResidueError):
+        with pytest.raises(InvalidCiphertextError):
             _root(8, 11, 2)
-        with pytest.raises(NonResidueError):
+        with pytest.raises(InvalidCiphertextError):
             _root(3, 5, 2)  # p = 1 mod 4: the digit-correction path
 
     def test_matches_exhaustive_search_below_500(self):
@@ -173,7 +173,7 @@ def _check_every_residue(p: int, k: int) -> None:
         if c in residues:
             assert pow(_kth_root(c, p, k, unity), k, p) == c
         else:
-            with pytest.raises(NonResidueError):
+            with pytest.raises(InvalidCiphertextError):
                 _kth_root(c, p, k, unity)
 
 
@@ -194,7 +194,7 @@ class TestKthRootModPrime:
     @pytest.mark.parametrize("k", [2, 3])
     def test_composite_modulus_never_gives_a_wrong_root(self, k):
         # each step keeps x**k = error * c whatever the modulus, so even a composite one gets
-        # a verified root or NonResidueError: never a non-root (8**3 = 8 mod 9)
+        # a verified root or InvalidCiphertextError: never a non-root (8**3 = 8 mod 9)
         primes = set(sieve(400))
         for p in range(9, 400, 2):
             if p in primes:
@@ -203,7 +203,7 @@ class TestKthRootModPrime:
             for c in range(1, p):
                 try:
                     x = _kth_root(c, p, k, unity)
-                except NonResidueError:
+                except InvalidCiphertextError:
                     continue
                 assert pow(x, k, p) == c, (c, p, k, x)
 
@@ -221,7 +221,7 @@ class TestKthRootModPrime:
             g = 2
             while pow(g, (p - 1) // k, p) == 1:
                 g += 1
-            with pytest.raises(NonResidueError):
+            with pytest.raises(InvalidCiphertextError):
                 _root(c * g % p, p, k)
 
 
