@@ -53,7 +53,7 @@ def encrypt(m: int, key: KeyMaterial) -> TaggedCiphertext:
     because transmitting its cube would hand an eavesdropper a factor of n.
     """
     n = key.n
-    if not 1 <= m < n:
+    if not isinstance(m, int) or not 1 <= m < n:
         raise InvalidMessageError(f"message must be in [1, {_show(n)}), got {_show(m)}")
     g = math.gcd(m, n)
     if g != 1:
@@ -111,6 +111,9 @@ def serialize_ciphertext(ct: TaggedCiphertext) -> str:
 def parse_ciphertext(text: str, mode: KeyMode) -> TaggedCiphertext:
     """Parse a ciphertext file, which must read exactly as serialize_ciphertext
     writes it; raises KeyFileError naming the first line at fault."""
+    from .keys import KeyMode  # here, so importing this module loads no key module
+    if not isinstance(mode, KeyMode):
+        raise InvalidArgumentError(f"mode must be a KeyMode, got {_show(mode)}")
     lines = file_lines(text)
     ct = TaggedCiphertext(decimal_field(lines, 0, "c"), decimal_field(lines, 1, "tag"), mode)
     require_lines(lines, serialize_ciphertext(ct))

@@ -199,6 +199,8 @@ def generate_key(
     or 91) can be reproduced exactly; they are still validated against the
     mode's constraints.
     """
+    if not isinstance(mode, KeyMode):
+        raise InvalidArgumentError(f"mode must be a KeyMode, got {_show(mode)}")
     if p is not None:
         return key_from_factors(mode, p, q)
     if q is not None:

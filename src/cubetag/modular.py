@@ -38,6 +38,7 @@ def mod_inverse(a: int, modulus: int) -> int:
     Raises NotInvertibleError when gcd(a, modulus) != 1; the exception carries
     the gcd because for a composite modulus that value is a factor.
     """
+    a, modulus = _require_int("a", a), _require_int("modulus", modulus)
     if a < 0:
         raise InvalidArgumentError(f"a must be non-negative, got {_show(a)}")
     if modulus < 2:
@@ -232,7 +233,7 @@ def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
     """
     if isinstance(n, _ProvenPrime):
         return True
-    if n < 2:
+    if _require_int("n", n) < 2:
         return False
     for sp in _SMALL_PRIMES:
         if n == sp:

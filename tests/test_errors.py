@@ -23,6 +23,7 @@ from cubetag import (
     digit_stream,
     encrypt,
     generate_key,
+    is_probable_prime,
     key_from_factors,
     mod_inverse,
     parse_ciphertext,
@@ -90,6 +91,18 @@ ONE_CLASS_PER_BAD_INPUT = {
     "no prime": (lambda key91: generate_key(KeyMode.CUBIC9_COMPOSITE, 8, seed=1),
                  InvalidArgumentError, "no 4-bit prime satisfying the mode constraints found; "
                  "constraints may be unsatisfiable at this size"),
+    "m float": (lambda key91: encrypt(2.0, key91), InvalidMessageError,
+                "message must be in [1, 91), got 2.0"),
+    "m str": (lambda key91: encrypt("2", key91), InvalidMessageError,
+              "message must be in [1, 91), got '2'"),
+    "ct mode str": (lambda key91: parse_ciphertext("c=34\ntag=1\n", "x"),
+                    InvalidArgumentError, "mode must be a KeyMode, got 'x'"),
+    "prime float": (lambda key91: is_probable_prime(7.0), InvalidArgumentError,
+                    "n must be an int, got 7.0"),
+    "inverse float": (lambda key91: mod_inverse(1.5, 7), InvalidArgumentError,
+                      "a must be an int, got 1.5"),
+    "keygen mode str": (lambda key91: generate_key("CUBIC3_COMPOSITE", 64), InvalidArgumentError,
+                        "mode must be a KeyMode, got 'CUBIC3_COMPOSITE'"),
 }
 
 

@@ -941,6 +941,26 @@ class TestWorkPerKeyLoad:
         assert load_work(lambda: parse_key(text)) == (2, 2, 0)
 
 
+def test_file_load_proves_each_factor_once(monkeypatch):
+    # mod each factor a file's roots follow the one rule, so a load proves each factor only in
+    # KeyMaterial's guard: a factor with no nontrivial cube root of 1, or whose roots alpha does
+    # not certify, does not reach the public prime routine and its guard
+    calls = []
+    for name in ("cube_roots_of_unity_prime", "is_probable_prime"):
+        def counting(*args, name=name, original=getattr(cubetag.roots, name)):
+            calls.append(name)
+            return original(*args)
+        monkeypatch.setattr(cubetag.roots, name, counting)
+    for mode in KeyMode:
+        for bits in (256, 1024):
+            for seed in (1, 2, 3, 4):
+                key = generate_key(mode, bits, seed)
+                text = serialize_key(key)
+                calls.clear()
+                assert parse_key(text) == key
+                assert calls == ["is_probable_prime"] * len(key.factors), (mode, bits, seed)
+
+
 def test_inverses_mod_a_factor(keys1024, monkeypatch):
     """Garner's q**-1 mod p is taken once per key, when it is built: a composite decrypt and a
     digit stream take no inverse mod a factor, nor does a SQUARE decrypt's corrected guess invert

@@ -10,6 +10,8 @@ from cubetag import (
     generate_key,
     key_from_factors,
 )
+from cubetag.modular import _primitive_unity_root
+from cubetag.roots import _prime_unity_roots
 from oracles import kth_roots_of_unity, sieve
 from shaped_primes import SHAPED_PRIMES
 
@@ -53,6 +55,21 @@ class TestCubeRootsPrime:
     def test_sum_identity_fails_modulo_composites(self):
         # the same identity is NOT valid mod 77 even though 23 cubes to 1
         assert (1 + 23 + 23 * 23) % 77 != 0
+
+
+def test_prime_unity_roots_rule_matches_enumeration_below_2000():
+    # every branch of the one rule mod a prime: -1 for squares, the AMM record's zeta where
+    # k**2 | f-1, alpha mod f where it is a nontrivial cube root of 1, else a search or {1};
+    # alpha is None, 1, each cube root of 1 (and the last shifted by f) or a non-root
+    for f in sieve(2000)[1:]:
+        cube_roots = kth_roots_of_unity(f, 3)
+        non_root = next(a for a in range(2, f + 2) if pow(a, 3, f) != 1)
+        alphas = (None, 1, *cube_roots, cube_roots[-1] + f, non_root)
+        for k in (2, 3):
+            unity = _primitive_unity_root(f, k) if (f - 1) % k**2 == 0 else None
+            expected = kth_roots_of_unity(f, k)
+            for alpha in alphas:
+                assert _prime_unity_roots(f, k, unity, alpha) == expected, (f, k, alpha)
 
 
 class TestCubeRootsComposite:
