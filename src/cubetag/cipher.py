@@ -30,7 +30,6 @@ _TABLE_LIMIT = 1_000_000
 class TaggedCiphertext(NamedTuple):
     c: int
     tag: int
-    mode: KeyMode
 
 
 def _companions(value: int, key: KeyMaterial) -> list[int]:
@@ -60,7 +59,7 @@ def encrypt(m: int, key: KeyMaterial) -> TaggedCiphertext:
         raise InvalidMessageError(f"message {_show(m)} shares a factor with the modulus", factor=g)
     companions = _companions(m, key)
     tag = companions.index(m) + 1
-    return TaggedCiphertext(c=pow(m, key.mode.exponent, n), tag=tag, mode=key.mode)
+    return TaggedCiphertext(c=pow(m, key.mode.exponent, n), tag=tag)
 
 
 def cube_root_by_exponent(c: int, key: KeyMaterial) -> int:
@@ -109,13 +108,13 @@ def serialize_ciphertext(ct: TaggedCiphertext) -> str:
 
 
 def parse_ciphertext(text: str, mode: KeyMode) -> TaggedCiphertext:
-    """Parse a ciphertext file, which must read exactly as serialize_ciphertext
-    writes it; raises KeyFileError naming the first line at fault."""
+    """Parse a file that reads exactly as serialize_ciphertext writes it, else KeyFileError names
+    the first line at fault. `mode` is checked, not kept: ROADMAP item 4 deletes it after 1a."""
     from .keys import KeyMode  # here, so importing this module loads no key module
     if not isinstance(mode, KeyMode):
         raise InvalidArgumentError(f"mode must be a KeyMode, got {_show(mode)}")
     lines = file_lines(text)
-    ct = TaggedCiphertext(decimal_field(lines, 0, "c"), decimal_field(lines, 1, "tag"), mode)
+    ct = TaggedCiphertext(decimal_field(lines, 0, "c"), decimal_field(lines, 1, "tag"))
     require_lines(lines, serialize_ciphertext(ct))
     return ct
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .cipher import decrypt_candidates, encrypt
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _require_int, _show
 
 __all__ = ["GameRound", "RootGrouping", "partition_nine_roots", "play_round"]
 
@@ -30,6 +30,9 @@ class RootGrouping(NamedTuple):
 
 def partition_nine_roots(roots: UnityRootSet) -> RootGrouping:
     """Pair each non-1 root with its square, giving four {1, x, x**2} triples."""
+    from .roots import UnityRootSet  # here, so importing this module loads no root module
+    if not isinstance(roots, UnityRootSet):
+        raise InvalidArgumentError(f"expected a key's root set, got {_show(roots)}")
     if len(roots) != 9:
         raise InvalidArgumentError(f"expected nine cube roots of 1, got {len(roots)}")
     n = roots.modulus
@@ -70,7 +73,8 @@ def play_round(
     """Run one round: the sender (Alice) encrypts and tags with the sender's
     triple, the receiver (Bob) decodes with the receiver's; success iff the
     triple choices match (probability 1/4 under uniform independent choices)."""
-    if not (1 <= alice_choice <= 4 and 1 <= bob_choice <= 4):
+    choices = map(_require_int, ("alice_choice", "bob_choice"), (alice_choice, bob_choice))
+    if not all(1 <= choice <= 4 for choice in choices):
         raise InvalidArgumentError("group choices must be in [1, 4]")
     grouping = partition_nine_roots(key.roots)
     c = encrypt(m, key).c

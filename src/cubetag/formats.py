@@ -24,6 +24,8 @@ def read_file(path: str) -> str:
 
 def file_lines(text: str) -> list[str]:
     """The lines of a key or ciphertext file, whose last line must end in LF."""
+    if not isinstance(text, str):
+        raise InvalidArgumentError(f"file text must be a str, got {type(text).__name__}")
     if not text:
         raise KeyFileError("empty file")
     if len(text) > MAX_FILE_CHARS:

@@ -201,6 +201,7 @@ def generate_key(
     """
     if not isinstance(mode, KeyMode):
         raise InvalidArgumentError(f"mode must be a KeyMode, got {_show(mode)}")
+    bits, seed = _require_int("bits", bits), seed if seed is None else _require_int("seed", seed)
     if p is not None:
         return key_from_factors(mode, p, q)
     if q is not None:

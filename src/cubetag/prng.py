@@ -33,7 +33,7 @@ def prng_init(key: KeyMaterial, seed: int) -> PrngState:
     if len(key.roots) != 9:
         raise InvalidArgumentError("generator needs a private key with nine cube roots of 1")
     n = key.n
-    if not 1 < seed < n:
+    if not 1 < _require_int("seed", seed) < n:
         raise InvalidArgumentError(f"seed must be in (1, {_show(n)}), got {_show(seed)}")
     if math.gcd(seed, n) != 1:
         raise InvalidArgumentError(f"seed {_show(seed)} shares a factor with the modulus")
@@ -42,10 +42,11 @@ def prng_init(key: KeyMaterial, seed: int) -> PrngState:
 
 def prng_next(state: PrngState) -> tuple[PrngState, int]:
     """Advance one step; returns the new state and its value s' = s**3 mod n."""
-    if state.n < 2:
-        raise InvalidArgumentError(f"modulus must be >= 2, got {_show(state.n)}")
-    s = pow(state.s, 3, state.n)
-    return PrngState(n=state.n, s=s), s
+    n, s = map(_require_int, ("n", "s"), state)
+    if n < 2:
+        raise InvalidArgumentError(f"modulus must be >= 2, got {_show(n)}")
+    s = pow(s, 3, n)
+    return PrngState(n=n, s=s), s
 
 
 def digit_stream(key: KeyMaterial, seed: int, radix: int, count: int) -> list[int]:
@@ -71,7 +72,7 @@ def digit_stream(key: KeyMaterial, seed: int, radix: int, count: int) -> list[in
 def pack_bits_hex(bits: list[int]) -> str:
     """Pack a bit list MSB-first into lowercase hex, zero-padding the tail
     nibble."""
-    if any(b not in (0, 1) for b in bits):
+    if any(_require_int("bit", b) not in (0, 1) for b in bits):
         raise InvalidArgumentError("bit stream must contain only 0 and 1")
     out = []
     for i in range(0, len(bits), 4):

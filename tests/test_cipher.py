@@ -189,15 +189,15 @@ def test_record_path_matches_the_oracle():
 
 class TestDecrypt:
     def test_paper_round_trips(self, key31, key77, key91):
-        assert decrypt(TaggedCiphertext(2, 2, key31.mode), key31) == 7
-        assert decrypt(TaggedCiphertext(34, 1, key77.mode), key77) == 12
-        assert decrypt(TaggedCiphertext(83, 2, key91.mode), key91) == 24
+        assert decrypt(TaggedCiphertext(2, 2), key31) == 7
+        assert decrypt(TaggedCiphertext(34, 1), key77) == 12
+        assert decrypt(TaggedCiphertext(83, 2), key91) == 24
 
     def test_tag_out_of_range(self, key77):
         with pytest.raises(InvalidCiphertextError):
-            decrypt(TaggedCiphertext(34, 4, key77.mode), key77)
+            decrypt(TaggedCiphertext(34, 4), key77)
         with pytest.raises(InvalidCiphertextError):
-            decrypt(TaggedCiphertext(34, 0, key77.mode), key77)
+            decrypt(TaggedCiphertext(34, 0), key77)
 
     def test_non_coprime_ciphertext_rejected(self, key77):
         # 7**3 mod 77 = 35 shares the factor 7; 22 and 55 share a factor
@@ -206,7 +206,7 @@ class TestDecrypt:
             with pytest.raises(InvalidCiphertextError):
                 decrypt_candidates(c, key77)
             with pytest.raises(InvalidCiphertextError):
-                decrypt(TaggedCiphertext(c, 1, key77.mode), key77)
+                decrypt(TaggedCiphertext(c, 1), key77)
 
     def test_ciphertext_outside_modulus_rejected(self, key77):
         # c = 111 would otherwise reduce to 34 and decrypt to 12
@@ -214,7 +214,7 @@ class TestDecrypt:
             with pytest.raises(InvalidCiphertextError):
                 decrypt_candidates(c, key77)
             with pytest.raises(InvalidCiphertextError):
-                decrypt(TaggedCiphertext(c, 1, key77.mode), key77)
+                decrypt(TaggedCiphertext(c, 1), key77)
             with pytest.raises(InvalidCiphertextError):
                 cube_root_by_exponent(c, key77)
 
@@ -270,7 +270,7 @@ class TestRootCountAgainstRabin:
         cts = [encrypt(2 * u % key.n, key) for u in key.roots]
         assert sorted(ct.tag for ct in cts) == list(range(1, count + 1))
         with pytest.raises(InvalidCiphertextError):
-            decrypt(TaggedCiphertext(cts[0].c, count + 1, mode), key)
+            decrypt(TaggedCiphertext(cts[0].c, count + 1), key)
         for ct in cts:
             assert ct.c == cts[0].c
             assert serialize_ciphertext(ct) == f"c={ct.c}\n" + f"tag={ct.tag}\n"
@@ -373,6 +373,8 @@ class TestCiphertextFiles:
         text = serialize_ciphertext(ct)
         assert text == "c=83\ntag=2\n"
         assert parse_ciphertext(text, key91.mode) == ct
+        # the record is the two values its file holds
+        assert TaggedCiphertext._fields == ("c", "tag") and ct == (83, 2)
 
     def test_malformed_rejected(self, key91):
         for bad in ("", "c=83\n", "c=83\ntag=2\nextra=1\n", "tag=2\nc=83\n", "c=83\ntag=x\n",

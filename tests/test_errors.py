@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import cubetag
 from cubetag import (
     CubeTagError,
     InvalidArgumentError,
@@ -19,17 +20,23 @@ from cubetag import (
     cube_root_by_exponent,
     crt_combine,
     cube_roots_of_unity_composite,
+    cube_roots_of_unity_prime,
     decrypt,
+    decrypt_candidates,
     digit_stream,
     encrypt,
     generate_key,
     is_probable_prime,
     key_from_factors,
     mod_inverse,
+    pack_bits_hex,
     parse_ciphertext,
     parse_key,
+    partition_nine_roots,
     play_round,
+    prng_init,
     prng_next,
+    serialize_ciphertext,
     serialize_key,
 )
 
@@ -58,7 +65,7 @@ def test_invalid_arguments_are_typed(key77, key91):
 
 
 def _decrypt91(c, tag):
-    return lambda key91: decrypt(TaggedCiphertext(c, tag, key91.mode), key91)
+    return lambda key91: decrypt(TaggedCiphertext(c, tag), key91)
 
 
 def _factors(mode, p, q):
@@ -103,6 +110,12 @@ ONE_CLASS_PER_BAD_INPUT = {
                       "a must be an int, got 1.5"),
     "keygen mode str": (lambda key91: generate_key("CUBIC3_COMPOSITE", 64), InvalidArgumentError,
                         "mode must be a KeyMode, got 'CUBIC3_COMPOSITE'"),
+    "key file bytes": (lambda key91: parse_key(b"mode=CUBIC3_COMPOSITE\nn=77\n"),
+                       InvalidArgumentError, "file text must be a str, got bytes"),
+    "ct file bytes": (lambda key91: parse_ciphertext(b"c=34\ntag=1\n", KeyMode.CUBIC3_COMPOSITE),
+                      InvalidArgumentError, "file text must be a str, got bytes"),
+    "roots list": (lambda key91: partition_nine_roots([1] * 9), InvalidArgumentError,
+                   "expected a key's root set, got [1, 1, 1, 1, 1, 1, ...]"),
 }
 
 
@@ -112,6 +125,89 @@ def test_one_class_per_bad_input(key91, call, error, message):
     with pytest.raises(CubeTagError) as info:
         call(key91)
     assert type(info.value) is error and str(info.value) == message
+
+
+def _slots(*calls, value=2, none=True):
+    """(call, value, others) per call: the int `value`, and what is tried in its place: its float,
+    str and bytes, and None unless None is the parameter's default, which has a meaning there."""
+    others = (float(value), str(value), *([None] if none else []), str(value).encode())
+    return tuple((call, value, others) for call in calls)
+
+
+_CUBIC3 = KeyMode.CUBIC3_COMPOSITE
+
+# Every name in cubetag.__all__, with one call per int it takes, `x` in that int's place under the
+# 7*13 key. A record's ints are tried through the functions that read them. The exception and
+# record classes (built by the package or read by a function below), KeyMode and the functions
+# that take no int have no call.
+INT_ARGUMENTS = {
+    **dict.fromkeys((
+        "CubeTagError", "InvalidArgumentError", "InvalidCiphertextError", "InvalidMessageError",
+        "KeyFileError", "NotInvertibleError", "PrivateKeyRequiredError", "GameRound", "PrngState",
+        "RootGrouping", "TaggedCiphertext", "KeyMode", "companion_table", "parse_ciphertext",
+        "parse_key", "partition_nine_roots", "serialize_key",
+    ), ()),
+    "KeyMaterial": _slots(lambda key91, x: KeyMaterial(_CUBIC3, x),
+                          lambda key91, x: KeyMaterial(_CUBIC3, 77, x, 11),
+                          lambda key91, x: KeyMaterial(_CUBIC3, 77, 7, x)),
+    "generate_key": (*_slots(lambda key91, x: generate_key(_CUBIC3, x, seed=1),
+                             lambda key91, x: generate_key(_CUBIC3, x, p=7, q=11),
+                             lambda key91, x: generate_key(_CUBIC3, 64, p=x, q=11),
+                             lambda key91, x: generate_key(_CUBIC3, 64, p=7, q=x)),
+                     # seed=None draws a random seed
+                     *_slots(lambda key91, x: generate_key(_CUBIC3, 64, seed=x),
+                             lambda key91, x: generate_key(_CUBIC3, 64, seed=x, p=7, q=11),
+                             none=False)),
+    "key_from_factors": _slots(lambda key91, x: key_from_factors(_CUBIC3, x, 11),
+                               lambda key91, x: key_from_factors(_CUBIC3, 7, x)),
+    "cube_root_by_exponent": _slots(
+        lambda key91, x: cube_root_by_exponent(x, key_from_factors(_CUBIC3, 7, 11))),
+    "decrypt": _slots(lambda key91, x: decrypt(TaggedCiphertext(x, 2), key91),
+                      lambda key91, x: decrypt(TaggedCiphertext(83, x), key91)),
+    "decrypt_candidates": _slots(lambda key91, x: decrypt_candidates(x, key91)),
+    "encrypt": _slots(lambda key91, x: encrypt(x, key91)),
+    "serialize_ciphertext": _slots(lambda key91, x: serialize_ciphertext(TaggedCiphertext(x, 2)),
+                                   lambda key91, x: serialize_ciphertext(TaggedCiphertext(83, x))),
+    "play_round": _slots(lambda key91, x: play_round(key91, x, 1, 2),
+                         lambda key91, x: play_round(key91, 12, x, 2),
+                         lambda key91, x: play_round(key91, 12, 1, x)),
+    "crt_combine": _slots(lambda key91, x: crt_combine(x, 2, 3, 5),
+                          lambda key91, x: crt_combine(1, x, 3, 5),
+                          lambda key91, x: crt_combine(1, 2, x, 5),
+                          lambda key91, x: crt_combine(1, 2, 3, x)),
+    "is_probable_prime": _slots(lambda key91, x: is_probable_prime(x)),
+    "mod_inverse": _slots(lambda key91, x: mod_inverse(x, 7), lambda key91, x: mod_inverse(3, x)),
+    "digit_stream": _slots(lambda key91, x: digit_stream(key91, x, 2, 3),
+                           lambda key91, x: digit_stream(key91, 5, x, 3),
+                           lambda key91, x: digit_stream(key91, 5, 2, x)),
+    "pack_bits_hex": _slots(lambda key91, x: pack_bits_hex([1, x]), value=1),
+    "prng_init": _slots(lambda key91, x: prng_init(key91, x)),
+    "prng_next": _slots(lambda key91, x: prng_next(PrngState(x, 5)),
+                        lambda key91, x: prng_next(PrngState(91, x))),
+    "cube_roots_of_unity_composite": _slots(lambda key91, x: cube_roots_of_unity_composite(x, 13),
+                                            lambda key91, x: cube_roots_of_unity_composite(7, x)),
+    "cube_roots_of_unity_prime": _slots(lambda key91, x: cube_roots_of_unity_prime(x)),
+}
+
+
+def _outcome(call, key91, x):
+    """What the call returns, or CubeTagError if it raises one; any other exception propagates."""
+    try:
+        return call(key91, x)
+    except CubeTagError:
+        return CubeTagError
+
+
+@pytest.mark.parametrize("name", sorted(set(cubetag.__all__) | set(INT_ARGUMENTS)))
+def test_every_public_name_refuses_what_is_not_an_int(key91, name):
+    # a name added to __all__ needs a row, and a row needs its name in __all__
+    assert name in cubetag.__all__ and name in INT_ARGUMENTS
+    for call, value, others in INT_ARGUMENTS[name]:
+        expected = _outcome(call, key91, value)
+        for other in others:
+            got = _outcome(call, key91, other)
+            # a CubeTagError, or what the int gives for what equals it (2.0 for 2)
+            assert got is CubeTagError or (other == value and got == expected), (name, other)
 
 
 @pytest.fixture
@@ -146,7 +242,7 @@ def key2400():
 # Each call formats an int past the lowered limit into a message or a file.
 PAST_THE_LIMIT = {
     "encrypt": (lambda key: encrypt(key.n + 1, key), InvalidMessageError),
-    "decrypt": (lambda key: decrypt(TaggedCiphertext(key.n + 5, 1, key.mode), key),
+    "decrypt": (lambda key: decrypt(TaggedCiphertext(key.n + 5, 1), key),
                 InvalidCiphertextError),
     "serialize_key": (serialize_key, InvalidArgumentError),
     "mod_inverse": (lambda key: mod_inverse(key.p, key.n), NotInvertibleError),

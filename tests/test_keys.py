@@ -702,18 +702,17 @@ class TestSerializersRefuseWhatParsersRefuse:
 
     def test_ciphertext_values(self, int_str_limit):
         mode = KeyMode.CUBIC9_COMPOSITE
-        ct = TaggedCiphertext(c=self.WIDEST, tag=self.WIDEST, mode=mode)
+        ct = TaggedCiphertext(c=self.WIDEST, tag=self.WIDEST)
         assert parse_ciphertext(serialize_ciphertext(ct), mode) == ct
         for c, tag in ((self.WIDEST + 1, 1), (83, self.WIDEST + 1), (-83, 1)):
             with pytest.raises(InvalidArgumentError, match="at most 4300 digits"):
-                serialize_ciphertext(TaggedCiphertext(c=c, tag=tag, mode=mode))
+                serialize_ciphertext(TaggedCiphertext(c=c, tag=tag))
 
     def test_values_are_written_as_ints(self):
         # a bool is the int it is, so it is written as one; any other non-int is refused
-        mode = KeyMode.CUBIC3_COMPOSITE
-        assert serialize_ciphertext(TaggedCiphertext(34, True, mode)) == "c=34\ntag=1\n"
+        assert serialize_ciphertext(TaggedCiphertext(34, True)) == "c=34\ntag=1\n"
         with pytest.raises(InvalidArgumentError, match=r"^c must be an int, got 2\.0$"):
-            serialize_ciphertext(TaggedCiphertext(2.0, 1, mode))
+            serialize_ciphertext(TaggedCiphertext(2.0, 1))
 
     def test_overlong_product_names_first_factor(self, int_str_limit):
         # the product of two 3000-digit factors cannot be the n= line
