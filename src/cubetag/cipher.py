@@ -97,14 +97,16 @@ def decrypt_candidates(c: int, key: KeyMaterial) -> list[int]:
 def decrypt(ct: TaggedCiphertext, key: KeyMaterial) -> int:
     """Invert a tagged ciphertext: recover one root, list its companions in
     ascending order, return the tag-th one."""
+    c, tag = ct
     expected = len(key.roots)
-    if not isinstance(ct.tag, int) or not 1 <= ct.tag <= expected:
-        raise InvalidCiphertextError(f"tag {_show(ct.tag)} outside [1, {expected}]")
-    return decrypt_candidates(ct.c, key)[ct.tag - 1]
+    if not isinstance(tag, int) or not 1 <= tag <= expected:
+        raise InvalidCiphertextError(f"tag {_show(tag)} outside [1, {expected}]")
+    return decrypt_candidates(c, key)[tag - 1]
 
 
 def serialize_ciphertext(ct: TaggedCiphertext) -> str:
-    return decimal_lines({"c": ct.c, "tag": ct.tag})
+    c, tag = ct
+    return decimal_lines({"c": c, "tag": tag})
 
 
 def parse_ciphertext(text: str, mode: KeyMode) -> TaggedCiphertext:

@@ -1,8 +1,8 @@
 """Arbitrary-precision modular arithmetic primitives.
 
 Everything operates on plain Python ints (the language's native bignum) and
-returns canonical residues in ``[0, modulus)``. All functions are pure and
-safe for concurrent use.
+returns canonical residues in ``[0, modulus)``. All functions are pure and safe
+for concurrent use but one: ``is_probable_prime(n, rng)`` advances ``rng``.
 """
 
 from __future__ import annotations

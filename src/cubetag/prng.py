@@ -70,12 +70,10 @@ def digit_stream(key: KeyMaterial, seed: int, radix: int, count: int) -> list[in
 
 
 def pack_bits_hex(bits: list[int]) -> str:
-    """Pack a bit list MSB-first into lowercase hex, zero-padding the tail
-    nibble."""
+    """Pack a sequence of bits MSB-first into lowercase hex, zero-padding the
+    tail nibble."""
     if any(_require_int("bit", b) not in (0, 1) for b in bits):
         raise InvalidArgumentError("bit stream must contain only 0 and 1")
-    out = []
-    for i in range(0, len(bits), 4):
-        nibble = bits[i:i + 4] + [0] * (4 - len(bits[i:i + 4]))
-        out.append(format(nibble[0] * 8 + nibble[1] * 4 + nibble[2] * 2 + nibble[3], "x"))
-    return "".join(out)
+    padded = [*bits, 0, 0, 0]
+    nibbles = (padded[i:i + 4] for i in range(0, len(bits), 4))
+    return "".join(format(8 * a + 4 * b + 2 * c + d, "x") for a, b, c, d in nibbles)

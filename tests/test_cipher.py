@@ -192,6 +192,7 @@ class TestDecrypt:
         assert decrypt(TaggedCiphertext(2, 2), key31) == 7
         assert decrypt(TaggedCiphertext(34, 1), key77) == 12
         assert decrypt(TaggedCiphertext(83, 2), key91) == 24
+        assert decrypt((34, 1), key77) == 12  # a plain (c, tag) pair decrypts too
 
     def test_tag_out_of_range(self, key77):
         with pytest.raises(InvalidCiphertextError):
@@ -375,6 +376,7 @@ class TestCiphertextFiles:
         assert parse_ciphertext(text, key91.mode) == ct
         # the record is the two values its file holds
         assert TaggedCiphertext._fields == ("c", "tag") and ct == (83, 2)
+        assert serialize_ciphertext((34, 1)) == "c=34\ntag=1\n"
 
     def test_malformed_rejected(self, key91):
         for bad in ("", "c=83\n", "c=83\ntag=2\nextra=1\n", "tag=2\nc=83\n", "c=83\ntag=x\n",

@@ -1,3 +1,10 @@
+"""``cli_transcript.json`` is the CLI's output contract: its harness pins each command's exit code,
+stdout, stderr and written files byte for byte, so no command it holds, nor the same check on
+another value down the same branch, is repeated here. This file holds only what an entry cannot
+pin: file modes, pipes, child processes, bytes a text transcript cannot hold, sweeps, usage
+errors with no entry, and the few commands and refusals without one.
+"""
+
 import os
 import runpy
 import stat
@@ -9,19 +16,6 @@ import pytest
 
 from cubetag.cli import main
 from cubetag.formats import MAX_FILE_CHARS, read_file
-
-TABLE_31_TEXT = (
-    "1 5 25 -> 1\n"
-    "2 10 19 -> 8\n"
-    "3 13 15 -> 27\n"
-    "4 7 20 -> 2\n"
-    "6 26 30 -> 30\n"
-    "8 9 14 -> 16\n"
-    "11 24 27 -> 29\n"
-    "12 21 29 -> 23\n"
-    "16 18 28 -> 4\n"
-    "17 22 23 -> 15\n"
-)
 
 
 def run(capsys, *argv):
@@ -58,60 +52,14 @@ def keyfile31(tmp_path, capsys):
 
 
 class TestKeygen:
-    def test_writes_private_and_public_files(self, tmp_path, capsys):
-        out = tmp_path / "pair.key"
-        code, stdout, _ = run(capsys, "keygen", "--mode", "cubic3", "--p", "7",
-                              "--q", "11", "--out", str(out))
-        assert code == 0 and stdout == "77\n"
-        private = out.read_text()
-        public = (tmp_path / "pair.key.pub").read_text()
-        assert private.startswith("mode=CUBIC3_COMPOSITE\nn=77\n")
-        assert "alpha=23\n" in private
-        assert public == "mode=CUBIC3_COMPOSITE\nn=77\n"
-
     def test_bijective_pair_fails(self, tmp_path, capsys):
         code, _, err = run(capsys, "keygen", "--mode", "cubic3", "--p", "5",
                            "--q", "11", "--out", str(tmp_path / "x.key"))
         assert code == 1
         assert err.strip() != ""
 
-    def test_square_keygen(self, tmp_path, capsys):
-        code, stdout, _ = run(capsys, "keygen", "--mode", "square", "--p", "7",
-                              "--q", "11", "--out", str(tmp_path / "s.key"))
-        assert code == 0 and stdout == "77\n"
-
-    def test_random_generation_reproducible(self, tmp_path, capsys):
-        outputs = []
-        for name in ("a.key", "b.key"):
-            code, stdout, _ = run(capsys, "keygen", "--mode", "cubic9", "--bits", "40",
-                                  "--seed", "11", "--out", str(tmp_path / name))
-            assert code == 0
-            outputs.append(stdout)
-        assert outputs[0] == outputs[1]
-        assert (tmp_path / "a.key").read_text() == (tmp_path / "b.key").read_text()
-
-    def test_bad_mode_is_usage_error(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["keygen", "--mode", "rsa", "--out", str(tmp_path / "x.key")])
-        assert info.value.code == 2
-
 
 class TestRoots:
-    def test_nine_roots(self, keyfile91, capsys):
-        code, out, _ = run(capsys, "roots", "--key", keyfile91)
-        assert code == 0
-        assert out == "1\n9\n16\n22\n29\n53\n74\n79\n81\n"
-
-    def test_prime_roots(self, keyfile31, capsys):
-        code, out, _ = run(capsys, "roots", "--key", keyfile31)
-        assert code == 0 and out == "1\n5\n25\n"
-
-    def test_same_factors_roots_of_each_exponent(self, keyfile77, tmp_path, capsys):
-        square = str(tmp_path / "s77.key")
-        run(capsys, "keygen", "--mode", "square", "--p", "7", "--q", "11", "--out", square)
-        assert run(capsys, "roots", "--key", keyfile77) == (0, "1\n23\n67\n", "")
-        assert run(capsys, "roots", "--key", square) == (0, "1\n34\n43\n76\n", "")
-
     def test_order_is_a_usage_error(self, keyfile77):
         # a key has only the roots of its own exponent, so no order can be asked for
         with pytest.raises(SystemExit) as info:
@@ -178,19 +126,6 @@ class TestFileModes:
 
 
 class TestEncryptDecrypt:
-    def test_round_trip_via_files(self, keyfile77, tmp_path, capsys):
-        ct = tmp_path / "m.ct"
-        code, _, _ = run(capsys, "encrypt", "--key", keyfile77, "--message", "12",
-                         "--out", str(ct))
-        assert code == 0
-        assert ct.read_text() == "c=34\ntag=1\n"
-        code, out, _ = run(capsys, "decrypt", "--key", keyfile77, "--in", str(ct))
-        assert code == 0 and out == "12\n"
-
-    def test_encrypt_to_stdout(self, keyfile31, capsys):
-        code, out, _ = run(capsys, "encrypt", "--key", keyfile31, "--message", "7")
-        assert code == 0 and out == "c=2\ntag=2\n"
-
     def test_nine_root_round_trip(self, keyfile91, tmp_path, capsys):
         ct = tmp_path / "m.ct"
         code, _, _ = run(capsys, "encrypt", "--key", keyfile91, "--message", "24",
@@ -203,23 +138,11 @@ class TestEncryptDecrypt:
         code, _, err = run(capsys, "encrypt", "--key", keyfile77, "--message", "77")
         assert code == 1 and err
 
-    def test_corrupt_tag_fails(self, keyfile77, tmp_path, capsys):
-        ct = tmp_path / "bad.ct"
-        ct.write_text("c=34\ntag=5\n")
-        code, _, err = run(capsys, "decrypt", "--key", keyfile77, "--in", str(ct))
-        assert code == 1 and err
-
     def test_ciphertext_outside_modulus_fails(self, keyfile77, tmp_path, capsys):
         ct = tmp_path / "wide.ct"
         ct.write_text("c=111\ntag=1\n")
         code, out, err = run(capsys, "decrypt", "--key", keyfile77, "--in", str(ct))
         assert code == 1 and out == "" and "[1, 77)" in err
-
-    def test_public_key_cannot_decrypt(self, keyfile77, tmp_path, capsys):
-        ct = tmp_path / "m.ct"
-        run(capsys, "encrypt", "--key", keyfile77, "--message", "12", "--out", str(ct))
-        code, _, err = run(capsys, "decrypt", "--key", keyfile77 + ".pub", "--in", str(ct))
-        assert code == 1 and err
 
     def test_sweep_round_trip(self, keyfile31, keyfile77, keyfile91, tmp_path, capsys):
         import math
@@ -289,18 +212,11 @@ class TestFileBytes:
 class TestLineEnds:
     """A file is read byte for byte: CRLF or CR line ends fail at line 1, as in the parsers."""
 
-    @pytest.mark.parametrize("ending", [b"\r\n", b"\r"])
+    @pytest.mark.parametrize("ending", [b"\r"])  # CRLF: the transcript's crlf.key and crlf.ct
     def test_key_line_ends(self, keyfile77, tmp_path, capsys, ending):
         bad = tmp_path / "line_ends.key"
         bad.write_bytes(Path(keyfile77).read_bytes().replace(b"\n", ending))
         code, out, err = run(capsys, "roots", "--key", str(bad))
-        assert (code, out) == (1, "")
-        assert err.startswith("cubetag: line 1: ")
-
-    def test_ciphertext_crlf(self, keyfile77, tmp_path, capsys):
-        bad = tmp_path / "crlf.ct"
-        bad.write_bytes(b"c=34\r\ntag=1\r\n")
-        code, out, err = run(capsys, "decrypt", "--key", keyfile77, "--in", str(bad))
         assert (code, out) == (1, "")
         assert err.startswith("cubetag: line 1: ")
 
@@ -339,33 +255,10 @@ class TestRand:
                            "--radix", "2", "--count", "3")
         assert code == 0 and out == "0\n1\n0\n"
 
-    def test_deterministic_across_runs(self, keyfile91, capsys):
-        args = ("rand", "--key", keyfile91, "--seed", "5", "--radix", "7", "--count", "20")
-        first = run(capsys, *args)
-        second = run(capsys, *args)
-        assert first == second and first[0] == 0
-
-    def test_hex_packing(self, keyfile91, capsys):
-        code, out, _ = run(capsys, "rand", "--key", keyfile91, "--seed", "2",
-                           "--radix", "2", "--count", "4", "--hex")
-        assert code == 0 and out == "5\n"
-
-    def test_radix_one_is_usage_error(self, keyfile91, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["rand", "--key", keyfile91, "--seed", "2", "--radix", "1",
-                  "--count", "3"])
-        assert info.value.code == 2
-
     def test_negative_count_is_usage_error(self, keyfile91, capsys):
         with pytest.raises(SystemExit) as info:
             main(["rand", "--key", keyfile91, "--seed", "2", "--radix", "2",
                   "--count", "-1"])
-        assert info.value.code == 2
-
-    def test_hex_requires_radix_two(self, keyfile91, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["rand", "--key", keyfile91, "--seed", "2", "--radix", "3",
-                  "--count", "3", "--hex"])
         assert info.value.code == 2
 
     def test_radix_at_modulus_rejected(self, keyfile91, capsys):
@@ -393,35 +286,9 @@ class TestGame:
                 successes += out.endswith("outcome=success\n")
         assert successes == 4
 
-    def test_three_root_key_fails(self, keyfile77, capsys):
-        code, _, err = run(capsys, "game", "--key", keyfile77, "--message", "12",
-                           "--alice", "1", "--bob", "1")
-        assert code == 1 and err
-
     def test_out_of_range_choice(self, keyfile91, capsys):
         code, _, err = run(capsys, "game", "--key", keyfile91, "--message", "24",
                            "--alice", "0", "--bob", "1")
-        assert code == 1 and err
-
-
-class TestTable:
-    def test_known_mapping(self, keyfile31, capsys):
-        code, out, _ = run(capsys, "table", "--key", keyfile31)
-        assert code == 0 and out == TABLE_31_TEXT
-
-    def test_composite_table(self, keyfile77, capsys):
-        code, out, _ = run(capsys, "table", "--key", keyfile77)
-        assert code == 0
-        rows = out.splitlines()
-        assert len(rows) == 20
-        assert all(len(row.split(" -> ")[0].split()) == 3 for row in rows)
-
-    def test_large_modulus_refused(self, tmp_path, capsys):
-        key = tmp_path / "big.key"
-        code, _, _ = run(capsys, "keygen", "--mode", "cubic3", "--bits", "48",
-                         "--seed", "0", "--out", str(key))
-        assert code == 0
-        code, _, err = run(capsys, "table", "--key", str(key))
         assert code == 1 and err
 
 

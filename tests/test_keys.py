@@ -512,6 +512,7 @@ class TestKeyFiles:
     def test_roots_derived_from_factors(self, key77):
         # the factors alone make the private key; its roots cannot be supplied
         assert KeyMaterial(KeyMode.CUBIC3_COMPOSITE, 77, 7, 11) == key77
+        assert key77 != (key77.mode, 77, 7, 11)  # a key equals only a key
         with pytest.raises(TypeError, match="unity_roots"):
             _rebuilt(key77, unity_roots=None)
         with pytest.raises(TypeError):  # no field-wise copy skips the checks

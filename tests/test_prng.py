@@ -168,6 +168,8 @@ class TestHexPacking:
             ([1, 1, 1, 1], "f"),
             ([1, 0, 0, 0, 1], "88"),
             ([], ""),
+            ((1, 0, 1, 1), "b"),  # any sequence of bits, not only a list
+            ((0, 1, 0), "4"),
         ],
     )
     def test_packing(self, bits, expected):
