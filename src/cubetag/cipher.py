@@ -111,7 +111,8 @@ def serialize_ciphertext(ct: TaggedCiphertext) -> str:
 
 def parse_ciphertext(text: str, mode: KeyMode) -> TaggedCiphertext:
     """Parse a file that reads exactly as serialize_ciphertext writes it, else KeyFileError names
-    the first line at fault. `mode` is checked, not kept: ROADMAP item 4 deletes it after 1a."""
+    the first line at fault. `mode` is checked and not used; it stays while bench/workloads.py
+    passes it (ROADMAP items 1 and 4)."""
     from .keys import KeyMode  # here, so importing this module loads no key module
     if not isinstance(mode, KeyMode):
         raise InvalidArgumentError(f"mode must be a KeyMode, got {_show(mode)}")

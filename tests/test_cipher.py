@@ -1,4 +1,3 @@
-import builtins
 import copy
 import math
 import pickle
@@ -264,8 +263,8 @@ class TestRootCountAgainstRabin:
         (KeyMode.CUBIC3_PRIME, 3), (KeyMode.CUBIC3_COMPOSITE, 3),
         (KeyMode.CUBIC9_COMPOSITE, 9), (KeyMode.SQUARE_COMPOSITE, 4),
     ])
-    def test_root_count_tags_and_file_bytes(self, mode, count):
-        key = generate_key(mode, bits=1024, seed=1)
+    def test_root_count_tags_and_file_bytes(self, keys1024, mode, count):
+        key = keys1024[mode]
         assert len(key.roots) == count
         # 2*u for the roots u share one c and one companion set: their tags are 1..count
         cts = [encrypt(2 * u % key.n, key) for u in key.roots]
@@ -285,34 +284,44 @@ class TestRootCountAgainstRabin:
         (KeyMode.CUBIC3_PRIME, [1, 1, 1, 1]), (KeyMode.CUBIC3_COMPOSITE, [2, 2, 2, 2]),
         (KeyMode.CUBIC9_COMPOSITE, [2, 2, 2, 2]), (KeyMode.SQUARE_COMPOSITE, [2, 2, 2, 2]),
     ])
-    def test_exponentiations_per_op(self, mode, decrypt_counts, monkeypatch):
-        key = generate_key(mode, bits=1024, seed=1)
-        exponents = []
-
-        def counting_pow(base, exponent, modulus=None):
-            if exponent > 1 << 64:
-                exponents.append(exponent)
-            return builtins.pow(base, exponent, modulus)
-
+    def test_exponentiations_per_op(self, keys1024, mode, decrypt_counts, record_calls):
+        key = keys1024[mode]
         for module in (cubetag.modular, cubetag.cipher, cubetag.roots):
-            monkeypatch.setattr(module, "pow", counting_pow, raising=False)
+            calls = record_calls(module, "pow")
+
+        def exponentiations():
+            return sum(args[1] > 1 << 64 for _, args in calls)
+
         counts = []
         for m in (2, 3, 5, 7):
+            calls.clear()
             ct = encrypt(m, key)
-            assert exponents == []
+            assert exponentiations() == 0
             assert decrypt(ct, key) == m
-            counts.append(len(exponents))
-            exponents.clear()
+            counts.append(exponentiations())
         assert counts == decrypt_counts
 
 
-def test_only_a_non_residue_builds_its_error(monkeypatch):
+@pytest.mark.parametrize("mode", [KeyMode.CUBIC3_COMPOSITE, KeyMode.CUBIC9_COMPOSITE,
+                                  KeyMode.SQUARE_COMPOSITE], ids=lambda mode: mode.name)
+def test_a_wrong_tag_decrypt_factors_n(keys1024, mode):
+    # decrypt answers r**k with a tag not r's by x = r*u for a root of 1 u != 1, and gcd(x - r, n)
+    # is a factor of n where u is 1 mod one factor only: for some wrong tag always, and for every
+    # one in CUBIC3, so a service that decrypts chosen ciphertexts hands out a factor of n
+    key = keys1024[mode]
+    for r in (2, 3, 5, 7):
+        ct = encrypt(r, key)
+        factored = [1 < math.gcd(decrypt((ct.c, tag), key) - r, key.n) < key.n
+                    for tag in range(1, len(key.roots) + 1) if tag != ct.tag]
+        assert any(factored) and (all(factored) or mode is not KeyMode.CUBIC3_COMPOSITE), r
+
+
+def test_only_a_non_residue_builds_its_error(record_calls):
     # seed 5's 1024-bit SQUARE q has 32 | q-1, so 11 of these 12 first guesses mod q are
     # corrected; the InvalidCiphertextError, with the decimal forms of c and the factor, is built
     # only where c has no root
     key = generate_key(KeyMode.SQUARE_COMPOSITE, bits=1024, seed=5)
-    shown = []
-    monkeypatch.setattr(cubetag.modular, "_show", lambda value: shown.append(value) or str(value))
+    shown = record_calls(cubetag.modular, "_show")
     for m in range(2, 14):
         assert decrypt(encrypt(m, key), key) == m
     assert shown == []

@@ -1,4 +1,3 @@
-import builtins
 import copy
 import hashlib
 import math
@@ -543,18 +542,14 @@ def keys256():
 
 
 @pytest.fixture
-def lucas_tests(monkeypatch):
-    """Records the number each strong Lucas test runs on: above the
-    deterministic bound, each primality test that runs in full runs one."""
-    tested = []
-    strong_lucas = cubetag.modular._strong_lucas
+def lucas_tests(record_calls):
+    """Records each strong Lucas test as ("_strong_lucas", (n,)): above the deterministic bound,
+    each primality test that runs in full runs one."""
+    return record_calls(cubetag.modular, "_strong_lucas")
 
-    def counting(n):
-        tested.append(n)
-        return strong_lucas(n)
 
-    monkeypatch.setattr(cubetag.modular, "_strong_lucas", counting)
-    return tested
+def _lucas(*numbers):
+    return [("_strong_lucas", (n,)) for n in numbers]
 
 
 class TestPrimalityTestedOnce:
@@ -563,7 +558,7 @@ class TestPrimalityTestedOnce:
             text = serialize_key(key)
             lucas_tests.clear()
             assert parse_key(text) == key
-            assert lucas_tests == list(key.factors), mode
+            assert lucas_tests == _lucas(*key.factors), mode
 
     def test_built_key_factors_are_not_retested(self, keys256, lucas_tests):
         for mode, key in keys256.items():
@@ -575,7 +570,8 @@ class TestPrimalityTestedOnce:
             lucas_tests.clear()
             key = generate_key(mode, bits=256, seed=6)
             # the search's own test of each factor, and none after it
-            assert [lucas_tests.count(f) for f in key.factors] == [1] * len(key.factors), mode
+            counts = [lucas_tests.count(call) for call in _lucas(*key.factors)]
+            assert counts == [1] * len(key.factors), mode
 
     def test_cross_order_roots_add_no_test(self, keys256, lucas_tests, tmp_path, capsys):
         key = keys256[KeyMode.CUBIC3_COMPOSITE]
@@ -584,7 +580,7 @@ class TestPrimalityTestedOnce:
         assert cli.main(["roots", "--key", str(path)]) == 0
         assert len(capsys.readouterr().out.split()) == 3
         # one test per factor, of loading the key, none for the roots
-        assert lucas_tests == [key.p, key.q]
+        assert lucas_tests == _lucas(key.p, key.q)
 
     def test_a_pickle_proves_its_factors_again(self, keys256, lucas_tests):
         # a pickle holds the factors as plain ints, so it names no private class and loading it
@@ -593,7 +589,7 @@ class TestPrimalityTestedOnce:
         data = pickle.dumps(key)
         assert b"_ProvenPrime" not in data
         assert copy.copy(key) == key and lucas_tests == []
-        assert pickle.loads(data) == key and lucas_tests == [key.p, key.q]
+        assert pickle.loads(data) == key and lucas_tests == _lucas(key.p, key.q)
 
 
 class TestCheapChecksFirst:
@@ -878,31 +874,20 @@ class TestReadingAlphaChangesNoError:
             assert (info.value.line, str(info.value)) == (line, f"line {line}: {message}")
 
 
-@pytest.fixture(scope="module")
-def keys1024():
-    """One key per mode at 1024 bits, seed 1: every factor is above the deterministic bound."""
-    return {mode: generate_key(mode, bits=1024, seed=1) for mode in KeyMode}
-
-
-_LOAD_WORK = ((cubetag.modular, "_strong_lucas"), (cubetag.modular, "_strong_probable_prime"),
-              (cubetag.roots, "_primitive_unity_root"))
+_LOAD_WORK = ("_strong_lucas", "_strong_probable_prime", "_primitive_unity_root")
 
 
 @pytest.fixture
-def load_work(monkeypatch):
-    """Counts calls of a strong Lucas chain, a strong probable-prime round and a search for a
-    primitive root of unity; `load_work(call)` runs `call` and gives the three counts."""
-    counts = dict.fromkeys((name for _, name in _LOAD_WORK), 0)
-    for module, name in _LOAD_WORK:
-        def counting(*args, name=name, original=getattr(module, name)):
-            counts[name] += 1
-            return original(*args)
-        monkeypatch.setattr(module, name, counting)
+def load_work(record_calls):
+    """`load_work(call)` runs `call` and gives its counts of strong Lucas chains, strong
+    probable-prime rounds and searches for a primitive root of unity."""
+    record_calls(cubetag.modular, *_LOAD_WORK[:2])
+    calls = record_calls(cubetag.roots, _LOAD_WORK[2])
 
     def work(call):
-        before = dict(counts)
+        calls.clear()
         call()
-        return tuple(counts[name] - before[name] for name in counts)
+        return tuple([name for name, _ in calls].count(name) for name in _LOAD_WORK)
     return work
 
 
@@ -941,16 +926,11 @@ class TestWorkPerKeyLoad:
         assert load_work(lambda: parse_key(text)) == (2, 2, 0)
 
 
-def test_file_load_proves_each_factor_once(monkeypatch):
+def test_file_load_proves_each_factor_once(record_calls):
     # mod each factor a file's roots follow the one rule, so a load proves each factor only in
     # KeyMaterial's guard: a factor with no nontrivial cube root of 1, or whose roots alpha does
     # not certify, does not reach the public prime routine and its guard
-    calls = []
-    for name in ("cube_roots_of_unity_prime", "is_probable_prime"):
-        def counting(*args, name=name, original=getattr(cubetag.roots, name)):
-            calls.append(name)
-            return original(*args)
-        monkeypatch.setattr(cubetag.roots, name, counting)
+    calls = record_calls(cubetag.roots, "cube_roots_of_unity_prime", "is_probable_prime")
     for mode in KeyMode:
         for bits in (256, 1024):
             for seed in (1, 2, 3, 4):
@@ -958,27 +938,21 @@ def test_file_load_proves_each_factor_once(monkeypatch):
                 text = serialize_key(key)
                 calls.clear()
                 assert parse_key(text) == key
-                assert calls == ["is_probable_prime"] * len(key.factors), (mode, bits, seed)
+                names = [name for name, _ in calls]
+                assert names == ["is_probable_prime"] * len(key.factors), (mode, bits, seed)
 
 
-def test_inverses_mod_a_factor(keys1024, monkeypatch):
+def test_inverses_mod_a_factor(keys1024, record_calls):
     """Garner's q**-1 mod p is taken once per key, when it is built: a composite decrypt and a
     digit stream take no inverse mod a factor, nor does a SQUARE decrypt's corrected guess invert
     its ciphertext, and a nine-root file load takes that one inverse."""
-    moduli = []
-
-    def counting_pow(base, exponent, modulus=None):
-        if exponent == -1:
-            moduli.append(modulus)
-        return builtins.pow(base, exponent, modulus)
-
     for module in (cubetag.modular, cubetag.roots, cubetag.keys, cubetag.cipher, cubetag.prng):
-        monkeypatch.setattr(module, "pow", counting_pow, raising=False)
+        calls = record_calls(module, "pow")
 
     def inverses(call, key):
-        moduli.clear()
+        calls.clear()
         call()
-        return sum(modulus in key.factors for modulus in moduli)
+        return sum(args[1] == -1 and args[2] in key.factors for _, args in calls)
 
     for mode in (KeyMode.CUBIC3_COMPOSITE, KeyMode.CUBIC9_COMPOSITE, KeyMode.SQUARE_COMPOSITE):
         key = keys1024[mode]
@@ -991,25 +965,16 @@ def test_inverses_mod_a_factor(keys1024, monkeypatch):
     assert inverses(lambda: parse_key(text), key) == 1
 
 
-def test_a_factor_with_its_own_cube_roots_is_searched_once(monkeypatch):
+def test_a_factor_with_its_own_cube_roots_is_searched_once(record_calls):
     # 9 | 19-1, so 19's search for the decrypts' generator also gives its cube roots of 1: the
     # composite routine, which would search 19 again, runs only where no factor has its own
     # roots, and Garner's inverse mod 19 is taken once, for the key's record
-    searched, inverses = [], []
-
-    def counting_search(p, k, original=cubetag.roots._primitive_unity_root):
-        searched.append(p)
-        return original(p, k)
-
-    def counting_pow(base, exponent, modulus=None):
-        if exponent == -1:
-            inverses.append(modulus)
-        return builtins.pow(base, exponent, modulus)
-
-    monkeypatch.setattr(cubetag.roots, "_primitive_unity_root", counting_search)
+    record_calls(cubetag.roots, "_primitive_unity_root")
     for module in (cubetag.modular, cubetag.roots, cubetag.keys):
-        monkeypatch.setattr(module, "pow", counting_pow, raising=False)
+        calls = record_calls(module, "pow")
     key = key_from_factors(KeyMode.CUBIC9_COMPOSITE, 19, 7)
+    searched = [args[0] for name, args in calls if name == "_primitive_unity_root"]
+    inverses = [args[2] for name, args in calls if name == "pow" and args[1] == -1]
     assert (searched, inverses) == ([19, 7], [19])
     assert key.roots.roots == kth_roots_of_unity(133, 3)
 
@@ -1022,8 +987,7 @@ def test_root_routines_prove_each_plain_factor_once(keys1024, load_work):
     assert load_work(lambda: cube_roots_of_unity_composite(p, q)) == (2, 2, 2)
 
 
-_SEARCH_WORK = ((cubetag.keys, "is_probable_prime"), (cubetag.modular, "_baillie_psw"),
-                (cubetag.modular, "_strong_probable_prime"), (cubetag.modular, "_strong_lucas"))
+_SEARCH_WORK = ("is_probable_prime", "_baillie_psw", "_strong_probable_prime", "_strong_lucas")
 
 
 class TestWorkPerKeygen:
@@ -1037,20 +1001,15 @@ class TestWorkPerKeygen:
             KeyMode.CUBIC9_COMPOSITE: [(58, 8, 8, 1), (3, 1, 1, 1)],
             KeyMode.SQUARE_COMPOSITE: [(9, 1, 1, 1), (31, 4, 4, 1)]}
 
-    def test_search_per_factor(self, monkeypatch):
-        calls = []
-        for module, name in _SEARCH_WORK:
-            def counting(*args, name=name, original=getattr(module, name), **kwargs):
-                calls.append(name)
-                return original(*args, **kwargs)
-            monkeypatch.setattr(module, name, counting)
-        names = [name for _, name in _SEARCH_WORK]
+    def test_search_per_factor(self, record_calls):
+        record_calls(cubetag.keys, _SEARCH_WORK[0])
+        recorded = record_calls(cubetag.modular, *_SEARCH_WORK[1:])
         for mode, work in self.WORK.items():
-            calls.clear()
+            recorded.clear()
             generate_key(mode, bits=1024, seed=1)
-            per_factor = []
+            calls, per_factor = [name for name, _ in recorded], []
             while "_strong_lucas" in calls:
                 end = calls.index("_strong_lucas") + 1
-                per_factor.append(tuple(calls[:end].count(name) for name in names))
+                per_factor.append(tuple(calls[:end].count(name) for name in _SEARCH_WORK))
                 del calls[:end]
             assert (per_factor, calls) == (work, []), mode

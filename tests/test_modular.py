@@ -1,4 +1,3 @@
-import builtins
 import math
 import random
 
@@ -19,43 +18,8 @@ from cubetag import (
 )
 from cubetag.modular import (_baillie_psw, _jacobi, _kth_root, _primitive_unity_root,
                              _strong_lucas, _strong_probable_prime)
-from oracles import sieve, squares_mod, trial_division_prime
+from oracles import sieve, trial_division_prime
 from shaped_primes import SHAPED_PRIMES
-
-
-class TestExtGcd:
-    """The extended-gcd facts mod_inverse relies on: a Bezout coefficient
-    when gcd(a, m) = 1, and the gcd itself (a factor of m) otherwise."""
-
-    def test_coprime_primes(self):
-        x = mod_inverse(7, 11)
-        assert (7 * x - 1) % 11 == 0
-
-    def test_common_factor(self):
-        with pytest.raises(NotInvertibleError) as info:
-            mod_inverse(12, 8)
-        assert info.value.gcd == 4
-
-    def test_identity(self):
-        assert mod_inverse(1, 99) == 1
-
-    def test_both_zero_rejected(self):
-        with pytest.raises(ValueError):
-            mod_inverse(0, 0)
-
-    @settings(max_examples=200, deadline=None)
-    @given(a=st.integers(min_value=0, max_value=1 << 64),
-           b=st.integers(min_value=2, max_value=1 << 64))
-    def test_bezout_identity(self, a, b):
-        g = math.gcd(a, b)
-        if g != 1:
-            with pytest.raises(NotInvertibleError) as info:
-                mod_inverse(a, b)
-            assert info.value.gcd == g
-            return
-        x = mod_inverse(a, b)
-        assert 1 <= x < b
-        assert (a * x - 1) % b == 0
 
 
 class TestModInverse:
@@ -73,18 +37,24 @@ class TestModInverse:
             mod_inverse(0, 7)
 
     def test_negative_value_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            mod_inverse(-1, 7)
+        for a, modulus in ((-1, 7), (0, 0)):  # and a modulus below 2
+            with pytest.raises(InvalidArgumentError):
+                mod_inverse(a, modulus)
 
     @settings(max_examples=200, deadline=None)
-    @given(a=st.integers(min_value=1, max_value=1 << 48),
-           modulus=st.integers(min_value=2, max_value=1 << 48))
-    def test_product_is_one(self, a, modulus):
-        if math.gcd(a, modulus) != 1:
+    @given(a=st.integers(min_value=0, max_value=1 << 64),
+           b=st.integers(min_value=2, max_value=1 << 64))
+    def test_bezout_identity(self, a, b):
+        # a Bezout coefficient when gcd(a, b) = 1, and the gcd itself (a factor of b) otherwise
+        g = math.gcd(a, b)
+        if g != 1:
+            with pytest.raises(NotInvertibleError) as info:
+                mod_inverse(a, b)
+            assert info.value.gcd == g
             return
-        b = mod_inverse(a, modulus)
-        assert 1 <= b < modulus
-        assert a * b % modulus == 1
+        x = mod_inverse(a, b)
+        assert 1 <= x < b
+        assert (a * x - 1) % b == 0
 
 
 class TestCrtCombine:
@@ -118,60 +88,14 @@ def _root(c, p, k):
     return _kth_root(c, p, k, _record(p, k))
 
 
-class TestQuadraticResidue:
-    """Residue detection: a square root exists or InvalidCiphertextError is raised."""
-
-    def test_paper_cases(self):
-        with pytest.raises(InvalidCiphertextError):
-            _root(8, 11, 2)
-        assert _root(4, 7, 2) in (2, 5)
-
-    @pytest.mark.parametrize("p", [3, 7, 11, 31, 97])
-    def test_one_is_always_square(self, p):
-        assert _root(1, p, 2) in (1, p - 1)
-
-    def test_agrees_with_enumeration_below_500(self):
-        for p in sieve(500)[1:]:
-            squares, unity = squares_mod(p), _record(p, 2)
-            for b in range(1, p):
-                if b in squares:
-                    _kth_root(b, p, 2, unity)
-                else:
-                    with pytest.raises(InvalidCiphertextError):
-                        _kth_root(b, p, 2, unity)
-
-
-class TestSqrtModPrime:
-    def test_trivial(self):
-        assert _root(1, 31, 2) in (1, 30)
-        assert _root(0, 31, 2) == 0
-
-    def test_small_case_from_enumeration(self):
-        # 3*3 = 4*4 = 2 mod 7
-        assert _root(2, 7, 2) in (3, 4)
-
-    def test_non_residue_rejected(self):
-        with pytest.raises(InvalidCiphertextError):
-            _root(8, 11, 2)
-        with pytest.raises(InvalidCiphertextError):
-            _root(3, 5, 2)  # p = 1 mod 4: the digit-correction path
-
-    def test_matches_exhaustive_search_below_500(self):
-        # covers both the single-exponent path and digit correction
-        for p in sieve(500)[1:]:
-            unity = _record(p, 2)
-            for b in squares_mod(p):
-                r = _kth_root(b, p, 2, unity)
-                assert 0 < r < p and r * r % p == b
-
-
 def _check_every_residue(p: int, k: int) -> None:
-    """Every residue mod p round-trips; every non-residue raises."""
+    """Every residue mod p has a root in (0, p); every non-residue raises."""
     residues, unity = {pow(x, k, p) for x in range(1, p)}, _record(p, k)
     assert _kth_root(0, p, k, unity) == 0
     for c in range(1, p):
         if c in residues:
-            assert pow(_kth_root(c, p, k, unity), k, p) == c
+            root = _kth_root(c, p, k, unity)
+            assert 0 < root < p and pow(root, k, p) == c
         else:
             with pytest.raises(InvalidCiphertextError):
                 _kth_root(c, p, k, unity)
@@ -225,20 +149,13 @@ class TestKthRootModPrime:
                 _root(c * g % p, p, k)
 
 
-def test_square_search_passes_over_residues_by_jacobi(monkeypatch):
+def test_square_search_passes_over_residues_by_jacobi(record_calls):
     # seed 5's 1024-bit SQUARE q has 32 | q-1 and least non-residue 7: the Jacobi symbol passes
     # over 2, 3 and 5 with no exponentiation, where each took two
     q = generate_key(KeyMode.SQUARE_COMPOSITE, bits=1024, seed=5).q
-    moduli = []
-
-    def counting_pow(base, exponent, modulus=None):
-        moduli.append(modulus)
-        return builtins.pow(base, exponent, modulus)
-
-    monkeypatch.setattr(cubetag.modular, "pow", counting_pow, raising=False)
+    calls = record_calls(cubetag.modular, "pow")
     found = _primitive_unity_root(q, 2)
-    assert moduli.count(q) == 2
-    monkeypatch.undo()
+    assert [args[2] for _, args in calls].count(q) == 2
     for p in [q] + [p for p in sieve(2000) if p % 4 == 1]:  # still the least non-residue's
         g = next(g for g in range(2, p) if pow(g, (p - 1) // 2, p) != 1)
         t = (p - 1) // ((p - 1) & -(p - 1))

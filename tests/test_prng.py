@@ -1,4 +1,3 @@
-import builtins
 import math
 
 import pytest
@@ -145,16 +144,11 @@ class TestPerPrimeStepping:
             for radix in (2, 10, 2**64 + 13):
                 assert digit_stream(key, seed, radix, 40) == [s % radix for s in states]
 
-    def test_never_reduces_mod_n(self, monkeypatch):
-        key = generate_key(KeyMode.CUBIC9_COMPOSITE, bits=1024, seed=1)
-        moduli = []
-
-        def recording_pow(base, exponent, modulus=None):
-            moduli.append(modulus)
-            return builtins.pow(base, exponent, modulus)
-
-        monkeypatch.setattr(cubetag.prng, "pow", recording_pow, raising=False)
+    def test_never_reduces_mod_n(self, keys1024, record_calls):
+        key = keys1024[KeyMode.CUBIC9_COMPOSITE]
+        calls = record_calls(cubetag.prng, "pow")
         digit_stream(key, 12345, 2, 100)
+        moduli = [args[2] for _, args in calls]
         assert set(moduli) == set(key.factors)
         assert key.n not in moduli
 
