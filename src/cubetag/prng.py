@@ -42,7 +42,8 @@ def prng_init(key: KeyMaterial, seed: int) -> PrngState:
 
 def prng_next(state: PrngState) -> tuple[PrngState, int]:
     """Advance one step; returns the new state and its value s' = s**3 mod n."""
-    n, s = map(_require_int, ("n", "s"), state)
+    n, s = state
+    n, s = _require_int("n", n), _require_int("s", s)
     if n < 2:
         raise InvalidArgumentError(f"modulus must be >= 2, got {_show(n)}")
     s = pow(s, 3, n)

@@ -18,26 +18,6 @@ GROUPS_91 = ((1, 9, 81), (1, 16, 74), (1, 22, 29), (1, 53, 79))
 
 
 class TestPartition:
-    def test_known_grouping(self, key91):
-        assert partition_nine_roots(key91.roots).groups == GROUPS_91
-
-    def test_structure(self, key91):
-        grouping = partition_nine_roots(key91.roots)
-        n = key91.n
-        non_unit = [u for triple in grouping.groups for u in triple if u != 1]
-        # every non-1 root appears exactly once, 1 in every triple
-        assert sorted(non_unit) == list(key91.roots.roots[1:])
-        for one, x, x_squared in grouping.groups:
-            assert one == 1
-            assert x_squared == x * x % n
-
-    def test_other_nine_root_modulus(self):
-        key = key_from_factors(KeyMode.CUBIC9_COMPOSITE, 13, 31)
-        grouping = partition_nine_roots(key.roots)
-        assert len(grouping.groups) == 4
-        union = {u for triple in grouping.groups for u in triple}
-        assert union == set(key.roots.roots)
-
     def test_wrong_size_rejected(self, key77):
         with pytest.raises(ValueError):
             partition_nine_roots(key77.roots)
@@ -76,14 +56,6 @@ class TestPlayRound:
             for choice in (1, 4):
                 round_ = play_round(key91, m, choice, choice)
                 assert round_.success and round_.recovered == m
-
-    def test_sixteen_pair_sweep_has_four_successes(self, key91):
-        outcomes = [
-            play_round(key91, 24, a, b).success
-            for a in range(1, 5)
-            for b in range(1, 5)
-        ]
-        assert sum(outcomes) == 4
 
     def test_companion_set_of_chosen_triple(self, key91):
         # group 1 holds root 9: the sender's 3-element set for m=24

