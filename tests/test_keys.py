@@ -921,6 +921,9 @@ class TestWorkPerKeyLoad:
                     assert proofs == [(name, f) for f in key.factors for name in self.PROOF], (
                         mode, bits, seed)
                     assert len(calls) - len(proofs) == searches, (mode, bits, seed)
+                    if mode is KeyMode.CUBIC9_COMPOSITE and not searches:
+                        # no search: alpha is a nontrivial cube root of 1 mod both factors
+                        assert all(key.alpha % f != 1 for f in key.factors), (bits, seed)
 
     def test_key_from_factors_searches(self, keys1024, load_work):
         for mode, key in keys1024.items():
