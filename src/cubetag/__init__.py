@@ -9,10 +9,10 @@ constraints that control the root count, the unity-root and CRT machinery,
 the tagged cipher itself, a pick-a-group probability protocol over the
 nine-root case, and a cubic-iteration pseudorandom generator.
 
-A fresh process pays for each module it loads, so every module imports only what it runs: no
-name for annotations alone (they are never evaluated), and a module one function alone runs
-inside that function. So the root re-exports each _EXPORTING module's __all__ but loads it only
-when it is imported or one of its names is first used, and a CLI command loads only its own.
+A fresh process pays for each module it loads, so every module imports only what it runs (one
+that one function alone runs, inside that function), and its annotations name only what it
+binds. So the root re-exports each _EXPORTING module's __all__ but loads it only when it is
+imported or one of its names is first used, and a CLI command loads only its own.
 """
 
 import sys

@@ -32,12 +32,12 @@ class TaggedCiphertext(NamedTuple):
     tag: int
 
 
-def _companions(value: int, key: KeyMaterial) -> list[int]:
+def _companions(value: int, key) -> list[int]:
     n = key.n
     return sorted(value * u % n for u in key.roots)
 
 
-def _require_ciphertext(c: int, key: KeyMaterial) -> None:
+def _require_ciphertext(c: int, key) -> None:
     """A ciphertext has a unique tagged preimage only as an int in [1, n) and coprime to n."""
     n = key.n
     if not isinstance(c, int) or not 1 <= c < n or math.gcd(c, n) != 1:
@@ -45,7 +45,7 @@ def _require_ciphertext(c: int, key: KeyMaterial) -> None:
             f"ciphertext must be in [1, {_show(n)}) and coprime to n, got {_show(c)}")
 
 
-def encrypt(m: int, key: KeyMaterial) -> TaggedCiphertext:
+def encrypt(m: int, key) -> TaggedCiphertext:
     """Encrypt m as (m**k mod n, rank of m among its companions).
 
     m must lie in [1, n) and be coprime to n; a shared factor is rejected
@@ -62,7 +62,7 @@ def encrypt(m: int, key: KeyMaterial) -> TaggedCiphertext:
     return TaggedCiphertext(c=pow(m, key.mode.exponent, n), tag=tag)
 
 
-def cube_root_by_exponent(c: int, key: KeyMaterial) -> int:
+def cube_root_by_exponent(c: int, key) -> int:
     """One cube root of c via a single modular exponentiation.
 
     Only possible when 9 does not divide phi(n): the exponent is
@@ -81,7 +81,7 @@ def cube_root_by_exponent(c: int, key: KeyMaterial) -> int:
     return root
 
 
-def decrypt_candidates(c: int, key: KeyMaterial) -> list[int]:
+def decrypt_candidates(c: int, key) -> list[int]:
     """The full ascending preimage set of c: every x with x**k = c mod n, k the key's exponent.
 
     One k-th root modulo each prime factor, joined by CRT (a prime modulus is the one-factor
@@ -94,7 +94,7 @@ def decrypt_candidates(c: int, key: KeyMaterial) -> list[int]:
     return _companions(_garner(*roots, *factors, q_inv) if len(roots) == 2 else roots[0], key)
 
 
-def decrypt(ct: TaggedCiphertext, key: KeyMaterial) -> int:
+def decrypt(ct: TaggedCiphertext, key) -> int:
     """Invert a tagged ciphertext: recover one root, list its companions in
     ascending order, return the tag-th one."""
     c, tag = ct
@@ -109,7 +109,7 @@ def serialize_ciphertext(ct: TaggedCiphertext) -> str:
     return decimal_lines({"c": c, "tag": tag})
 
 
-def parse_ciphertext(text: str, mode: KeyMode) -> TaggedCiphertext:
+def parse_ciphertext(text: str, mode) -> TaggedCiphertext:
     """Parse a file that reads exactly as serialize_ciphertext writes it, else KeyFileError names
     the first line at fault. `mode` is checked and not used; it stays while bench/workloads.py
     passes it (ROADMAP items 1 and 4)."""
@@ -122,7 +122,7 @@ def parse_ciphertext(text: str, mode: KeyMode) -> TaggedCiphertext:
     return ct
 
 
-def companion_table(key: KeyMaterial):
+def companion_table(key):
     """Yield (companions, c) rows covering every message coprime to n,
     ordered by each companion set's smallest member.
 

@@ -43,12 +43,12 @@ def _cmd_keygen(args: argparse.Namespace, _key: None) -> None:
     print(key.n)
 
 
-def _cmd_roots(args: argparse.Namespace, key: KeyMaterial) -> None:
+def _cmd_roots(args: argparse.Namespace, key) -> None:
     for root in key.roots:
         print(root)
 
 
-def _cmd_encrypt(args: argparse.Namespace, key: KeyMaterial) -> None:
+def _cmd_encrypt(args: argparse.Namespace, key) -> None:
     from .cipher import encrypt, serialize_ciphertext
     ct = encrypt(args.message, key)
     text = serialize_ciphertext(ct)
@@ -58,14 +58,14 @@ def _cmd_encrypt(args: argparse.Namespace, key: KeyMaterial) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_decrypt(args: argparse.Namespace, key: KeyMaterial) -> None:
+def _cmd_decrypt(args: argparse.Namespace, key) -> None:
     from .cipher import decrypt, parse_ciphertext
     from .formats import read_file
     ct = parse_ciphertext(read_file(args.infile), key.mode)
     print(decrypt(ct, key))
 
 
-def _cmd_rand(args: argparse.Namespace, key: KeyMaterial) -> None:
+def _cmd_rand(args: argparse.Namespace, key) -> None:
     from .prng import digit_stream, pack_bits_hex
     digits = digit_stream(key, args.seed, args.radix, args.count)
     if args.hex:
@@ -75,7 +75,7 @@ def _cmd_rand(args: argparse.Namespace, key: KeyMaterial) -> None:
             print(digit)
 
 
-def _cmd_game(args: argparse.Namespace, key: KeyMaterial) -> None:
+def _cmd_game(args: argparse.Namespace, key) -> None:
     from .events import play_round
     round_ = play_round(key, args.message, args.alice, args.bob)
     print(f"c={round_.c}")
@@ -87,7 +87,7 @@ def _cmd_game(args: argparse.Namespace, key: KeyMaterial) -> None:
     print(f"outcome={'success' if round_.success else 'failure'}")
 
 
-def _cmd_table(args: argparse.Namespace, key: KeyMaterial) -> None:
+def _cmd_table(args: argparse.Namespace, key) -> None:
     from .cipher import companion_table
     for companions, c in companion_table(key):
         print(f"{' '.join(str(v) for v in companions)} -> {c}")

@@ -28,7 +28,7 @@ class RootGrouping(NamedTuple):
     groups: tuple[tuple[int, int, int], ...]
 
 
-def partition_nine_roots(roots: UnityRootSet) -> RootGrouping:
+def partition_nine_roots(roots) -> RootGrouping:
     """Pair each non-1 root with its square, giving four {1, x, x**2} triples."""
     from .roots import UnityRootSet  # here, so importing this module loads no root module
     if not isinstance(roots, UnityRootSet):
@@ -67,9 +67,7 @@ def _cosets(nine_roots: list[int], triple: tuple[int, int, int], n: int) -> list
     return sorted({tuple(sorted(r * u % n for u in triple)) for r in nine_roots})
 
 
-def play_round(
-    key: KeyMaterial, m: int, alice_choice: int, bob_choice: int
-) -> GameRound:
+def play_round(key, m: int, alice_choice: int, bob_choice: int) -> GameRound:
     """Run one round: the sender (Alice) encrypts and tags with the sender's
     triple, the receiver (Bob) decodes with the receiver's; success iff the
     triple choices match (probability 1/4 under uniform independent choices)."""

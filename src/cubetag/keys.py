@@ -22,6 +22,7 @@ from ``generate_key`` arrives proven by its own search.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from typing import NamedTuple
 
@@ -29,7 +30,7 @@ from .errors import (InvalidArgumentError, KeyFileError, PrivateKeyRequiredError
                      _show)
 from .formats import (DECIMAL_BOUND, MAX_DIGITS, decimal_field, decimal_lines, file_lines,
                       require_lines)
-from .modular import _ProvenPrime, is_probable_prime
+from .modular import _MR_DETERMINISTIC_BOUND, _TRIAL_PRODUCT, _ProvenPrime, is_probable_prime
 from .roots import _require_odd_prime, _unity_roots
 
 __all__ = [
@@ -37,6 +38,12 @@ __all__ = [
 ]
 
 _MAX_PRIME_TRIES_PER_BIT = 256
+# Witnesses the prime search draws from its seeded RNG per candidate past trial division above
+# the deterministic bound and does not use: drawing them keeps each seed's RNG stream, and so
+# the keys every seed has always generated.
+_MR_ROUNDS = 40
+# The search also screens those candidates by a gcd with the odd primes below this.
+_SCREEN_LIMIT = 1 << 16
 
 class KeyMode(enum.Enum):
     CUBIC3_PRIME = "CUBIC3_PRIME"
@@ -52,8 +59,8 @@ class KeyMode(enum.Enum):
 
 class _Mode(NamedTuple):
     exponent: int
-    shapes: tuple[Callable[[int], bool], ...]  # one per factor keygen samples
-    constraint: Callable[[int, int], bool]  # (p, phi) -> acceptable
+    shapes: tuple  # one (candidate) -> bool per factor keygen samples
+    constraint: object  # (p, phi) -> acceptable
     requirement: str
     private_fields: tuple[str, ...]  # key-file lines after mode and n
 
@@ -157,7 +164,7 @@ class KeyMaterial:
         return math.prod(f - 1 for f in self.factors)
 
     @property
-    def roots(self) -> UnityRootSet:
+    def roots(self):
         """The k-th roots of 1 mod n, reached like every private part through ``factors``."""
         self.factors  # the one gate: a public key raises PrivateKeyRequiredError here
         return self.unity_roots
@@ -173,12 +180,34 @@ def key_from_factors(mode: KeyMode, p: int, q: int | None = None) -> KeyMaterial
     return KeyMaterial(mode, math.prod(map(_require_int, ("p", "q"), factors)), p, q)
 
 
-def _random_prime(rng: random.Random, bits: int, accept) -> int:
+@functools.cache
+def _odd_prime_product() -> int:
+    """The product of the odd primes below _SCREEN_LIMIT, built on first use."""
+    flags = bytearray([1]) * _SCREEN_LIMIT
+    for i in range(3, math.isqrt(_SCREEN_LIMIT) + 1, 2):
+        if flags[i]:
+            flags[i * i::2 * i] = bytes(len(range(i * i, _SCREEN_LIMIT, 2 * i)))
+    factors = [i for i in range(3, _SCREEN_LIMIT, 2) if flags[i]]
+    while len(factors) > 1:  # a product tree, about twice as fast as a running product
+        factors = [math.prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
+    return factors[0]
+
+
+def _random_prime(rng, bits: int, accept) -> int:
     """Random prime of exactly `bits` bits satisfying `accept(p)`."""
     for _ in range(_MAX_PRIME_TRIES_PER_BIT * bits):
         candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if accept(candidate) and is_probable_prime(candidate, rng=rng):
-            return _ProvenPrime(candidate)  # the seeded test just run is the proof
+        if not accept(candidate):
+            continue
+        if candidate >= _MR_DETERMINISTIC_BOUND:
+            if math.gcd(candidate, _TRIAL_PRODUCT) != 1:
+                continue
+            for _ in range(_MR_ROUNDS):
+                rng.randrange(2, candidate - 1)
+            if math.gcd(candidate, _odd_prime_product()) != 1:
+                continue
+        if is_probable_prime(candidate):
+            return _ProvenPrime(candidate)  # the test just run is the proof
     raise InvalidArgumentError(
         f"no {bits}-bit prime satisfying the mode constraints found; "
         "constraints may be unsatisfiable at this size"

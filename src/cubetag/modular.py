@@ -2,12 +2,11 @@
 
 Everything operates on plain Python ints (the language's native bignum) and
 returns canonical residues in ``[0, modulus)``. All functions are pure and safe
-for concurrent use but one: ``is_probable_prime(n, rng)`` advances ``rng``.
+for concurrent use.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 from .errors import (InvalidArgumentError, InvalidCiphertextError, NotInvertibleError,
@@ -20,16 +19,11 @@ _SMALL_PRIMES = (
     71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
     151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223, 227, 229,
 )
+_TRIAL_PRODUCT = math.prod(_SMALL_PRIMES)  # trial division by all of them is one gcd
 # Deterministic Miller-Rabin witnesses: the first 13 primes decide primality
 # for every n below this bound (Sorenson & Webster).
 _MR_DETERMINISTIC_BASES = _SMALL_PRIMES[:13]
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
-# Witnesses key generation draws from its seeded RNG per candidate above that
-# bound and does not use: drawing them keeps each seed's RNG stream, and so
-# the keys every seed has always generated.
-_MR_ROUNDS = 40
-# Key generation also screens candidates by a gcd with the odd primes below this.
-_SCREEN_LIMIT = 1 << 16
 
 
 def mod_inverse(a: int, modulus: int) -> int:
@@ -204,20 +198,7 @@ def _baillie_psw(n: int) -> bool:
     return _strong_probable_prime(n, 2) and _strong_lucas(n)
 
 
-@functools.cache
-def _odd_prime_product() -> int:
-    """The product of the odd primes below _SCREEN_LIMIT, built on first use."""
-    flags = bytearray([1]) * _SCREEN_LIMIT
-    for i in range(3, math.isqrt(_SCREEN_LIMIT) + 1, 2):
-        if flags[i]:
-            flags[i * i::2 * i] = bytes(len(range(i * i, _SCREEN_LIMIT, 2 * i)))
-    factors = [i for i in range(3, _SCREEN_LIMIT, 2) if flags[i]]
-    while len(factors) > 1:  # a product tree, about twice as fast as a running product
-        factors = [math.prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
-    return factors[0]
-
-
-def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Primality test: small-prime trial division, then Miller-Rabin with the
     first 13 primes as witnesses below ~3.3e24, where that is deterministic,
     and Baillie-PSW above it.
@@ -225,27 +206,16 @@ def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
     Baillie-PSW (a strong base-2 Miller-Rabin round and a strong Lucas test)
     has no known counterexample, but no proven error bound either; it draws
     no random witnesses, so an adversary's input is tested as any other.
-    Given ``rng`` (key generation), the test first draws and discards
-    _MR_ROUNDS witnesses from it, which keeps the seeded stream and so the
-    keys it generates, and screens by a gcd with the odd primes below 2**16.
     A ``_ProvenPrime`` has passed this test already and returns True at once;
     any other int is tested in full.
     """
     if isinstance(n, _ProvenPrime):
         return True
-    if _require_int("n", n) < 2:
+    if _require_int("n", n) <= _SMALL_PRIMES[-1]:
+        return n in _SMALL_PRIMES
+    if math.gcd(n, _TRIAL_PRODUCT) != 1:
         return False
-    for sp in _SMALL_PRIMES:
-        if n == sp:
-            return True
-        if n % sp == 0:
-            return False
     # n is odd and larger than every trial-division prime here.
     if n < _MR_DETERMINISTIC_BOUND:
         return all(_strong_probable_prime(n, a) for a in _MR_DETERMINISTIC_BASES)
-    if rng is not None:
-        for _ in range(_MR_ROUNDS):
-            rng.randrange(2, n - 1)
-        if math.gcd(n, _odd_prime_product()) != 1:
-            return False
     return _baillie_psw(n)

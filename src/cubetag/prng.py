@@ -26,7 +26,7 @@ class PrngState(NamedTuple):
     s: int
 
 
-def prng_init(key: KeyMaterial, seed: int) -> PrngState:
+def prng_init(key, seed: int) -> PrngState:
     """Start a generator at seed s0; requires a private key with nine cube
     roots of 1 (so 9 | phi; PrivateKeyRequiredError for a public key) and
     gcd(s0, n) = 1 with 1 < s0 < n."""
@@ -50,7 +50,7 @@ def prng_next(state: PrngState) -> tuple[PrngState, int]:
     return PrngState(n=n, s=s), s
 
 
-def digit_stream(key: KeyMaterial, seed: int, radix: int, count: int) -> list[int]:
+def digit_stream(key, seed: int, radix: int, count: int) -> list[int]:
     """First `count` output digits for (key, seed, radix): prng_next's states mod radix, the
     seed never emitted. Each step cubes a = s mod p and b = s mod q, and the digit is Garner's
     s = b + q*((a - b)*(q^-1 mod p) mod p) reduced mod radix, s itself never formed."""

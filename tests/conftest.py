@@ -1,5 +1,6 @@
 import builtins
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,17 @@ def record_calls(monkeypatch):
             monkeypatch.setattr(module, name, recording, raising=name != "pow")
         return calls
     return record
+
+
+@pytest.fixture
+def lowered_int_str_limit():
+    """Lower the interpreter's int/str conversion limit to its least, 640 digits, then restore it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str conversion limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(old)
 
 
 @pytest.fixture(scope="session")

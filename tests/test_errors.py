@@ -1,7 +1,6 @@
 """Every failure the package raises reaches a library caller as a CubeTagError."""
 
 import reprlib
-import sys
 
 import pytest
 
@@ -208,17 +207,6 @@ def test_every_public_name_refuses_what_is_not_an_int(key91, name):
             got = _outcome(call, key91, other)
             # a CubeTagError, or what the int gives for what equals it (2.0 for 2)
             assert got is CubeTagError or (other == value and got == expected), (name, other)
-
-
-@pytest.fixture
-def lowered_int_str_limit():
-    """Lower the interpreter's int/str conversion limit to its least, 640 digits, then restore it."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this interpreter has no int/str conversion limit")
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    yield
-    sys.set_int_max_str_digits(old)
 
 
 def test_value_past_a_lowered_conversion_limit_names_its_line(lowered_int_str_limit):

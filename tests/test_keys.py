@@ -824,17 +824,10 @@ class TestReadingAlphaChangesNoError:
     """Alpha is read leniently, before the factors are proven: a file is refused at the
     same line, with the same message, as if alpha were not read."""
 
-    def test_alpha_past_a_lowered_int_str_limit(self, key77):
-        if not hasattr(sys, "set_int_max_str_digits"):
-            pytest.skip("this interpreter has no int/str conversion limit")
+    def test_alpha_past_a_lowered_int_str_limit(self, key77, lowered_int_str_limit):
         text = serialize_key(key77).replace("alpha=23", "alpha=" + "7" * 700)
-        saved = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(640)
-        try:
-            with pytest.raises(KeyFileError) as info:
-                parse_key(text)
-        finally:
-            sys.set_int_max_str_digits(saved)
+        with pytest.raises(KeyFileError) as info:
+            parse_key(text)
         assert info.value.line == 6
         assert str(info.value) == "line 6: expected 'alpha=23', got 'alpha=777777...7777777777777'"
 
@@ -978,23 +971,25 @@ def test_root_routines_prove_each_plain_factor_once(keys1024, load_work):
     assert load_work(lambda: cube_roots_of_unity_composite(p, q)) == (2, 2, 2)
 
 
-_SEARCH_WORK = ("is_probable_prime", "_baillie_psw", "_strong_probable_prime", "_strong_lucas")
+_SEARCH_WORK = ("_odd_prime_product", "is_probable_prime", "_strong_probable_prime",
+                "_strong_lucas")
 
 
 class TestWorkPerKeygen:
     """Counted work of generate_key(mode, 1024, seed=1), per factor in the order searched: the
-    candidates that reach the primality test, those past its gcd screen (one Baillie-PSW test
-    each), its base-2 rounds and its Lucas chains. Only a factor's last candidate passes the
-    base-2 round, so each factor's count ends at its one Lucas chain."""
+    candidates past trial division that the search screens by a gcd with the odd primes below
+    2**16, those past the screen (each then tested by is_probable_prime, so Baillie-PSW), its
+    base-2 rounds and its Lucas chains. Only a factor's last candidate passes the base-2 round,
+    so each factor's count ends at its one Lucas chain."""
 
-    WORK = {KeyMode.CUBIC3_PRIME: [(105, 23, 23, 1)],
-            KeyMode.CUBIC3_COMPOSITE: [(58, 8, 8, 1), (16, 3, 3, 1)],
-            KeyMode.CUBIC9_COMPOSITE: [(58, 8, 8, 1), (3, 1, 1, 1)],
-            KeyMode.SQUARE_COMPOSITE: [(9, 1, 1, 1), (31, 4, 4, 1)]}
+    WORK = {KeyMode.CUBIC3_PRIME: [(41, 23, 23, 1)],
+            KeyMode.CUBIC3_COMPOSITE: [(17, 8, 8, 1), (4, 3, 3, 1)],
+            KeyMode.CUBIC9_COMPOSITE: [(17, 8, 8, 1), (1, 1, 1, 1)],
+            KeyMode.SQUARE_COMPOSITE: [(2, 1, 1, 1), (9, 4, 4, 1)]}
 
     def test_search_per_factor(self, record_calls):
-        record_calls(cubetag.keys, _SEARCH_WORK[0])
-        recorded = record_calls(cubetag.modular, *_SEARCH_WORK[1:])
+        record_calls(cubetag.keys, *_SEARCH_WORK[:2])
+        recorded = record_calls(cubetag.modular, *_SEARCH_WORK[2:])
         for mode, work in self.WORK.items():
             recorded.clear()
             generate_key(mode, bits=1024, seed=1)

@@ -1,5 +1,4 @@
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -167,14 +166,13 @@ class TestIsProbablePrime:
         for n in range(100_000):
             assert is_probable_prime(n) == (n in prime_set)
 
-    def test_large_values_with_seeded_rng(self):
+    def test_large_values(self):
         mersenne_89 = (1 << 89) - 1  # prime, above the deterministic bound
         mersenne_107 = (1 << 107) - 1  # also prime
         composite = ((1 << 61) - 1) * ((1 << 31) - 1)
-        rng = random.Random(7)
-        assert is_probable_prime(mersenne_89, rng=rng)
-        assert is_probable_prime(mersenne_107, rng=rng)
-        assert not is_probable_prime(composite, rng=rng)
+        assert is_probable_prime(mersenne_89)
+        assert is_probable_prime(mersenne_107)
+        assert not is_probable_prime(composite)
 
     def test_spot_check_against_trial_division(self):
         for n in range(100_000, 100_400):
@@ -279,4 +277,3 @@ class TestBailliePSW:
         m = (1 << p) - 1
         assert _strong_probable_prime(m, 2)
         assert not is_probable_prime(m)
-        assert not is_probable_prime(m, rng=random.Random(p))

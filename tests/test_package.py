@@ -2,9 +2,11 @@
 
 import copy
 import importlib
+import inspect
 import pickle
 import subprocess
 import sys
+import typing
 
 import pytest
 
@@ -52,6 +54,20 @@ def test_module_import_loads_no_annotation_only_module(module, unused):
     # only, so importing the module loads neither the key nor the root module.
     code = f"import sys, cubetag.{module}; print(*sorted({unused!r} & set(sys.modules)))"
     assert _child(code) == [""]
+
+
+def test_every_annotation_names_what_its_module_binds():
+    # typing.get_type_hints evaluates annotations in their module's namespace: every function and
+    # class of every module, the public ones and KeyMaterial's methods and properties among them
+    for name in (*MODULES, "cli", "formats"):
+        module = importlib.import_module(f"cubetag.{name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else ()
+            for each in (obj, *(m.fget if isinstance(m, property) else m for m in members)):
+                if inspect.isclass(each) or inspect.isfunction(each):
+                    typing.get_type_hints(each)
 
 
 # Runs `python -m cubetag` with the child's arguments, then prints its exit code and the
