@@ -1,10 +1,47 @@
-"""Primes of 512, 1024 and 2048 bits with chosen 2- and 3-adic valuations of p-1.
+"""Primes by shape: which modes desk-scale primes make, and stored real-size primes.
 
-Keyed by (bits, s2, s3) where s2 and s3 are the exponents of 2 and 3 in p-1;
-a value of 2 means "at least 2". Found once by a seeded random search over
-candidates of the wanted residue class (3 mod 4, or 1 mod 2592 = 2**5 * 3**4),
-each confirmed by 40 Miller-Rabin rounds; stored so tests need not search.
+`key_modes` is the paper's mode rule, from totient arithmetic alone, and `desk_specs` lists
+every desk-scale key it allows, so a sweep over small keys filters that one list.
+
+SHAPED_PRIMES holds primes of 512, 1024 and 2048 bits with chosen 2- and 3-adic valuations of
+p-1, keyed by (bits, s2, s3) where s2 and s3 are the exponents of 2 and 3 in p-1; a value of 2
+means "at least 2". Found once by a seeded random search over candidates of the wanted residue
+class (3 mod 4, or 1 mod 2592 = 2**5 * 3**4), each confirmed by 40 Miller-Rabin rounds; stored so
+tests need not search.
 """
+
+from cubetag import KeyMode
+from oracles import sieve
+
+
+def key_modes(p, q=None):
+    """The modes of the keys the prime p, or the ordered pair (p, q) of distinct odd primes,
+    makes: prime mode where p = 3 mod 4 and 3 || p-1; for a pair, CUBIC9 or CUBIC3 as 9 does or
+    does not divide phi, where 3 does, and SQUARE always."""
+    if q is None:
+        return [KeyMode.CUBIC3_PRIME] if p % 4 == 3 and (p - 1) % 9 in (3, 6) else []
+    phi = (p - 1) * (q - 1)
+    if phi % 3:
+        return [KeyMode.SQUARE_COMPOSITE]
+    return [KeyMode.CUBIC9_COMPOSITE if phi % 9 == 0 else KeyMode.CUBIC3_COMPOSITE,
+            KeyMode.SQUARE_COMPOSITE]
+
+
+def desk_specs(limit):
+    """Every (mode, p, q) that key_modes allows with n < limit, q None in prime mode: the prime
+    keys by p, then the pairs by (p, q), both factor orders, a pair's cubic mode first."""
+    primes = sieve(limit)[1:]
+    for p in primes:
+        for mode in key_modes(p):
+            yield mode, p, None
+    for p in primes:
+        for q in primes:
+            if p * q >= limit:
+                break
+            if p != q:
+                for mode in key_modes(p, q):
+                    yield mode, p, q
+
 
 SHAPED_PRIMES = {
     (512, 1, 0): int(

@@ -26,7 +26,8 @@ from cubetag import (
     serialize_ciphertext,
     serialize_key,
 )
-from oracles import kth_root_preimages, sieve
+from oracles import kth_root_preimages
+from shaped_primes import desk_specs
 
 class TestEncrypt:
     def test_out_of_range_rejected(self, key77):
@@ -95,15 +96,7 @@ class TestDecryptCandidatesByCrt:
 
 def _composite_keys(limit):
     """Every composite key with n < limit, the factors in both orders."""
-    primes = sieve(limit)[1:]
-    for p in primes:
-        for q in primes:
-            if p != q and p * q < limit:
-                phi = (p - 1) * (q - 1)
-                if phi % 3 == 0:
-                    cubic = KeyMode.CUBIC9_COMPOSITE if phi % 9 == 0 else KeyMode.CUBIC3_COMPOSITE
-                    yield key_from_factors(cubic, p, q)
-                yield key_from_factors(KeyMode.SQUARE_COMPOSITE, p, q)
+    return (key_from_factors(mode, p, q) for mode, p, q in desk_specs(limit) if q is not None)
 
 
 def _keys_that_correct_their_guess(limit):

@@ -10,38 +10,20 @@ import math
 
 import pytest
 
-from cubetag import KeyMode, decrypt, encrypt, key_from_factors
-from oracles import sieve
+from cubetag import decrypt, encrypt, key_from_factors
+from shaped_primes import desk_specs
 
 pytestmark = pytest.mark.slow
 
 LIMIT = 10_000
 
 
-def _desk_keys():
-    primes = sieve(LIMIT)
-    odd = [p for p in primes if p > 2]
-    for p in primes:
-        if p % 3 == 1 and p % 4 == 3 and (p - 1) % 9 != 0:
-            yield key_from_factors(KeyMode.CUBIC3_PRIME, p)
-    for i, p in enumerate(odd):
-        if p * p >= LIMIT:
-            break
-        for q in odd[i + 1:]:
-            if p * q >= LIMIT:
-                break
-            phi = (p - 1) * (q - 1)
-            if phi % 3 == 0:
-                if phi % 9 == 0:
-                    yield key_from_factors(KeyMode.CUBIC9_COMPOSITE, p, q)
-                else:
-                    yield key_from_factors(KeyMode.CUBIC3_COMPOSITE, p, q)
-            yield key_from_factors(KeyMode.SQUARE_COMPOSITE, p, q)
-
-
 def test_round_trip_exhaustive_below_10000():
     keys = messages = 0
-    for key in _desk_keys():
+    for mode, p, q in desk_specs(LIMIT):
+        if q is not None and p > q:  # each pair once, the smaller factor first
+            continue
+        key = key_from_factors(mode, p, q)
         n = key.n
         for m in range(1, n):
             if math.gcd(m, n) != 1:

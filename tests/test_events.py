@@ -11,7 +11,7 @@ from cubetag import (
     partition_nine_roots,
     play_round,
 )
-from oracles import sieve
+from shaped_primes import desk_specs
 
 # The four {1, x, x**2} triples over the nine unity roots mod 91.
 GROUPS_91 = ((1, 9, 81), (1, 16, 74), (1, 22, 29), (1, 53, 79))
@@ -23,22 +23,17 @@ class TestPartition:
             partition_nine_roots(key77.roots)
 
     def test_invariants_over_desk_scale_moduli(self):
-        primes = [p for p in sieve(1500) if p % 3 == 1]
-        checked = 0
-        for i, p in enumerate(primes):
-            for q in primes[i + 1:]:
-                n = p * q
-                if n > 10_000:
-                    break
-                key = key_from_factors(KeyMode.CUBIC9_COMPOSITE, p, q)
-                grouping = partition_nine_roots(key.roots)
-                assert len(grouping.groups) == 4
-                non_unit = sorted(u for t in grouping.groups for u in t if u != 1)
-                assert non_unit == list(key.roots.roots[1:])
-                for one, x, x_squared in grouping.groups:
-                    assert one == 1 and x < x_squared and x_squared == x * x % n
-                checked += 1
-        assert checked > 100
+        # every nine-root key below 10000, the smaller factor first
+        keys = [key_from_factors(mode, p, q) for mode, p, q in desk_specs(10_000)
+                if mode is KeyMode.CUBIC9_COMPOSITE and p < q and p % 3 == q % 3 == 1]
+        assert len(keys) == 305
+        for key in keys:
+            grouping = partition_nine_roots(key.roots)
+            assert len(grouping.groups) == 4
+            non_unit = sorted(u for t in grouping.groups for u in t if u != 1)
+            assert non_unit == list(key.roots.roots[1:])
+            for one, x, x_squared in grouping.groups:
+                assert one == 1 and x < x_squared and x_squared == x * x % key.n
 
 
 class TestPlayRound:

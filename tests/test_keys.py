@@ -40,7 +40,9 @@ from cubetag import (
 )
 from cubetag.formats import MAX_FILE_CHARS
 from oracles import kth_roots_of_unity, sieve
-from shaped_primes import SHAPED_PRIMES
+from shaped_primes import SHAPED_PRIMES, desk_specs, key_modes
+
+_DESK_PRIMES = sieve(100)[1:]  # key_from_factors takes odd primes only
 
 
 def _accepted_cubic_mode(p, q=None):
@@ -60,32 +62,9 @@ def _accepted_cubic_mode(p, q=None):
     return accepted[0] if accepted else None
 
 
-class TestClassifyModulus:
-    """Which cubic mode a factor set satisfies, as key_from_factors enforces it."""
-
-    @pytest.mark.parametrize(
-        "p,q,expected",
-        [
-            (7, 11, KeyMode.CUBIC3_COMPOSITE),
-            (7, 13, KeyMode.CUBIC9_COMPOSITE),
-            (5, 11, None),
-            (19, 5, KeyMode.CUBIC9_COMPOSITE),  # 9 | 18 alone forces the nine-root case
-        ],
-    )
-    def test_composite(self, p, q, expected):
-        assert _accepted_cubic_mode(p, q) == expected
-
-    @pytest.mark.parametrize(
-        "p,expected",
-        [
-            (31, KeyMode.CUBIC3_PRIME),
-            (11, None),  # 2 mod 3: cubing is a bijection
-            (19, None),  # 9 | p-1: no exponent inverse
-            (13, None),  # 1 mod 4: outside the supported prime shape
-        ],
-    )
-    def test_single_prime(self, p, expected):
-        assert _accepted_cubic_mode(p) == expected
+class TestModeRule:
+    """The paper's mode rule, as key_from_factors enforces it: the cubic mode, if any, of a prime
+    or an ordered pair of primes."""
 
     def test_non_prime_rejected(self):
         with pytest.raises(ValueError):
@@ -99,17 +78,14 @@ class TestClassifyModulus:
                 key_from_factors(mode, 7, 7)
 
     def test_agrees_with_totient_arithmetic_below_100(self):
-        primes = sieve(100)[1:]  # key_from_factors takes odd primes only
-        for i, p in enumerate(primes):
-            for q in primes[i + 1:]:
-                phi = (p - 1) * (q - 1)
-                if phi % 3 != 0:
-                    expected = None
-                elif phi % 9 == 0:
-                    expected = KeyMode.CUBIC9_COMPOSITE
-                else:
-                    expected = KeyMode.CUBIC3_COMPOSITE
-                assert _accepted_cubic_mode(p, q) == expected
+        # every odd prime and every ordered pair of distinct odd primes below 100: 11 (2 mod 3),
+        # 13 (1 mod 4), 19 (9 | p-1) and (5, 11) (phi coprime to 3) have no cubic mode
+        cubic = {(p, q): mode for mode, p, q in desk_specs(100**2)
+                 if mode is not KeyMode.SQUARE_COMPOSITE}
+        for p in _DESK_PRIMES:
+            for q in (None, *_DESK_PRIMES):
+                if q != p:
+                    assert _accepted_cubic_mode(p, q) == cubic.get((p, q)), (p, q)
 
 
 class TestForcedKeys:
@@ -130,16 +106,7 @@ class TestForcedKeys:
         assert key77_square.unity_roots.roots == (1, 34, 43, 76)
 
     def test_constraint_rejections(self):
-        with pytest.raises(InvalidArgumentError):
-            key_from_factors(KeyMode.CUBIC3_COMPOSITE, 5, 11)  # phi coprime to 3
-        with pytest.raises(InvalidArgumentError):
-            key_from_factors(KeyMode.CUBIC3_COMPOSITE, 7, 13)  # 9 | phi
-        with pytest.raises(InvalidArgumentError):
-            key_from_factors(KeyMode.CUBIC9_COMPOSITE, 7, 11)  # 9 does not divide phi
-        with pytest.raises(InvalidArgumentError):
-            key_from_factors(KeyMode.CUBIC3_PRIME, 13)  # 1 mod 4
-        with pytest.raises(InvalidArgumentError):
-            key_from_factors(KeyMode.CUBIC3_PRIME, 19)  # 9 | p-1
+        # the cubic modes' totient constraints are TestModeRule's
         with pytest.raises(ValueError):
             key_from_factors(KeyMode.SQUARE_COMPOSITE, 7, 7)
         with pytest.raises(ValueError):
@@ -166,8 +133,7 @@ class TestGenerateKey:
     def test_cubic3_totient_congruence_holds_over_1000_keys(self):
         for seed in range(1000):
             key = generate_key(KeyMode.CUBIC3_COMPOSITE, bits=32, seed=seed)
-            assert key.phi % 9 in (3, 6)
-            assert key.phi % 3 == 0
+            assert key_modes(key.p, key.q)[0] is KeyMode.CUBIC3_COMPOSITE
 
     @pytest.mark.parametrize("bits", [16, 32, 49])
     def test_modulus_size(self, bits):
@@ -183,8 +149,7 @@ class TestGenerateKey:
 
     def test_prime_mode_shape(self):
         key = generate_key(KeyMode.CUBIC3_PRIME, bits=24, seed=3)
-        p = key.n
-        assert p % 3 == 1 and p % 4 == 3 and (p - 1) % 9 != 0
+        assert key_modes(key.n) == [KeyMode.CUBIC3_PRIME]
         assert key.alpha == key.unity_roots.roots[1]
 
     def test_key_files_frozen(self):
@@ -326,9 +291,6 @@ class TestEveryKeyIsChecked:
         # each would write a file parse_key refuses, or fail with a bare error
         with pytest.raises(InvalidArgumentError, match="must be an int|must be a KeyMode"):
             KeyMaterial(*args)
-
-
-_DESK_PRIMES = sieve(100)[1:]
 
 
 @st.composite
@@ -558,15 +520,7 @@ class TestPrimalityTestedOnce:
             assert key_from_factors(mode, key.p, key.q) == key
         assert lucas_tests == []
 
-    def test_generated_key_is_not_retested(self, lucas_tests):
-        for mode in KeyMode:
-            lucas_tests.clear()
-            key = generate_key(mode, bits=256, seed=6)
-            # the search's own test of each factor, and none after it
-            counts = [lucas_tests.count(call) for call in _lucas(*key.factors)]
-            assert counts == [1] * len(key.factors), mode
-
-    def test_cross_order_roots_add_no_test(self, keys256, lucas_tests, tmp_path, capsys):
+    def test_cli_roots_proves_each_factor_once(self, keys256, lucas_tests, tmp_path, capsys):
         key = keys256[KeyMode.CUBIC3_COMPOSITE]
         path = tmp_path / "k.key"
         path.write_text(serialize_key(key))
@@ -722,18 +676,11 @@ def _three_root_keys(limit):
     """Every cubic key with n < limit and, by the oracle, exactly three cube roots of 1, with
     them: prime mode, CUBIC3 pairs, and CUBIC9 pairs of a factor with 9 | f-1 and one not 1 mod
     3, in both factor orders."""
-    primes = sieve(limit)[1:]
-    for p in primes:
-        if p % 4 == 3 and (p - 1) % 9 != 0 and len(roots := kth_roots_of_unity(p, 3)) == 3:
-            yield key_from_factors(KeyMode.CUBIC3_PRIME, p), roots
-    for p in primes:
-        for q in primes:
-            if p * q >= limit:
-                break
-            if p != q and len(roots := kth_roots_of_unity(p * q, 3)) == 3:
-                mode = KeyMode.CUBIC9_COMPOSITE if (p - 1) * (q - 1) % 9 == 0 else (
-                    KeyMode.CUBIC3_COMPOSITE)
-                yield key_from_factors(mode, p, q), roots
+    for mode, p, q in desk_specs(limit):
+        if mode.exponent == 3:
+            key = key_from_factors(mode, p, q)
+            if len(roots := kth_roots_of_unity(key.n, 3)) == 3:
+                yield key, roots
 
 
 def _check_alpha_certificates(limit):
@@ -781,16 +728,12 @@ class TestAlphaCertificate:
         # alpha certifies the roots mod each factor f where alpha mod f != 1, in either order;
         # some files certify both factors and some one
         kinds = set()
-        primes = [p for p in sieve(2000) if p % 3 == 1]
-        for p in primes:
-            for q in primes:
-                if p * q >= 2000:
-                    break
-                if p != q:
-                    key = key_from_factors(KeyMode.CUBIC9_COMPOSITE, p, q)
-                    loaded = parse_key(serialize_key(key))
-                    assert tuple(loaded.roots) == kth_roots_of_unity(p * q, 3) == tuple(key.roots)
-                    kinds.add(sum(key.alpha % f != 1 for f in key.factors))
+        for mode, p, q in desk_specs(2000):
+            if mode is KeyMode.CUBIC9_COMPOSITE and p % 3 == q % 3 == 1:
+                key = key_from_factors(mode, p, q)
+                loaded = parse_key(serialize_key(key))
+                assert tuple(loaded.roots) == kth_roots_of_unity(p * q, 3) == tuple(key.roots)
+                kinds.add(sum(key.alpha % f != 1 for f in key.factors))
         assert kinds == {1, 2}
 
 

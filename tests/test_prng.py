@@ -13,7 +13,7 @@ from cubetag import (
     prng_init,
     prng_next,
 )
-from oracles import sieve
+from shaped_primes import desk_specs
 
 
 def _states(key, seed, count):
@@ -104,18 +104,17 @@ class TestPerPrimeStepping:
 
     def test_matches_definition_for_every_small_key_and_seed(self):
         # every key with nine roots and n < 1000, both factor orders, every coprime seed
-        primes = [f for f in sieve(1000 // 7) if f % 3 == 1]
-        pairs = [(p, q) for p in primes for q in primes if p != q and p * q < 1000]
-        assert len(pairs) == 2 * 24
-        for p, q in pairs:
-            key = key_from_factors(KeyMode.CUBIC9_COMPOSITE, p, q)
+        keys = [key_from_factors(mode, p, q) for mode, p, q in desk_specs(1000)
+                if mode is KeyMode.CUBIC9_COMPOSITE and p % 3 == q % 3 == 1]
+        assert len(keys) == 2 * 24
+        for key in keys:
             for seed in range(2, key.n):
                 if math.gcd(seed, key.n) != 1:
                     continue
                 states = _states(key, seed, 8)
                 for radix in (2, 3, 10, key.n - 1):
                     expected = [s % radix for s in states]
-                    assert digit_stream(key, seed, radix, 8) == expected, (p, q, seed, radix)
+                    assert digit_stream(key, seed, radix, 8) == expected, (key.factors, seed, radix)
 
     @pytest.mark.parametrize("bits", [1024, 2048])
     def test_matches_definition_at_real_size(self, bits):
