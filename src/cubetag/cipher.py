@@ -72,9 +72,8 @@ def cube_root_by_exponent(c: int, key) -> int:
     _require_ciphertext(c, key)
     phi, n = key.phi, key.n
     if key.mode.exponent != 3 or phi % 9 not in (3, 6):
-        raise InvalidArgumentError(
-            f"exponent inversion needs cubing with 3 || phi, got phi = {_show(phi)}"
-        )
+        raise InvalidArgumentError(f"exponent inversion needs cubing with 3 || phi, "
+                                   f"got phi = {_show(phi)}")
     root = pow(c, pow(3, -1, phi // 3), n)
     if pow(root, 3, n) != c:
         raise InvalidCiphertextError(f"{_show(c)} is not a cubic residue mod {_show(n)}")
@@ -89,9 +88,9 @@ def decrypt_candidates(c: int, key) -> list[int]:
     coprime to n and a k-th residue, and PrivateKeyRequiredError for a public key.
     """
     _require_ciphertext(c, key)
-    factors, (unity, q_inv), k = key.factors, key._record, key.mode.exponent
+    factors, (unity, inverses), k = key.factors, key._record, key.mode.exponent
     roots = [_kth_root(c, f, k, u) for f, u in zip(factors, unity)]
-    return _companions(_garner(*roots, *factors, q_inv) if len(roots) == 2 else roots[0], key)
+    return _companions(_garner(roots, factors, inverses), key)
 
 
 def decrypt(ct: TaggedCiphertext, key) -> int:
@@ -130,9 +129,8 @@ def companion_table(key):
     """
     n = key.n
     if n > _TABLE_LIMIT:
-        raise InvalidArgumentError(
-            f"modulus {_show(n)} too large for an exhaustive table (limit {_TABLE_LIMIT})"
-        )
+        raise InvalidArgumentError(f"modulus {_show(n)} too large for an exhaustive table "
+                                   f"(limit {_TABLE_LIMIT})")
     k = key.mode.exponent
     seen = bytearray(n)
     for m in range(1, n):

@@ -1,10 +1,10 @@
 """Key generation and the fields of a key file, whose line format ``formats`` owns.
 
-A key is an exponent (3, or 2 for the squaring variant) and the factors of
-a prime or two-prime modulus; the roots of unity, and so the tag range,
-follow from the factors. Each KeyMode's row in ``_MODES`` holds what sets
-the modes apart: the exponent, the factor shapes key generation samples,
-the totient constraint, and the private key-file fields.
+A key is an exponent (3, or 2 for the squaring variant) and the factors of a prime or two-prime
+modulus; the roots of unity, and so the tag range, follow from the factors, as does the record
+decrypts reuse: per factor, its AMM unity record and Garner inverse. Each KeyMode's row in
+``_MODES`` holds what sets the modes apart: the exponent, the factor shapes key generation
+samples, the totient constraint, and the private key-file fields.
 
 Both communicating parties hold the factors; the private key file carries them, the ``.pub``
 variant only the mode and modulus. ``KeyMaterial.factors`` is the one gate to the private part.
@@ -112,20 +112,17 @@ class KeyMaterial:
             if self.q is not None:
                 raise InvalidArgumentError("a public key has no q")
             return
-        spec = _MODES[self.mode]
-        factors = (self.p,) if self.q is None else (self.p, self.q)
+        spec, factors = _MODES[self.mode], self.factors
         if len(factors) != len(spec.shapes):
-            raise InvalidArgumentError(
-                f"{self.mode.value} takes {len(spec.shapes)} factor(s), got {len(factors)}"
-            )
+            raise InvalidArgumentError(f"{self.mode.value} takes {len(spec.shapes)} factor(s), "
+                                       f"got {len(factors)}")
         if self.p == self.q:
             raise InvalidArgumentError("factors must be distinct")
         if self.n != math.prod(factors):
             raise InvalidArgumentError("n must be the product of the factors")
-        phi = math.prod(f - 1 for f in factors)
-        if not spec.constraint(self.p, phi):
+        if not spec.constraint(self.p, self.phi):
             raise InvalidArgumentError(f"{self.mode.value} needs {spec.requirement}; "
-                                       f"p={_show(self.p)}, phi={_show(phi)} fails")
+                                       f"p={_show(self.p)}, phi={_show(self.phi)} fails")
         factors = tuple(map(_require_odd_prime, factors))
         roots, record = _unity_roots(spec.exponent, factors, _alpha)
         alpha = roots.roots[1] if "alpha" in spec.private_fields else None

@@ -45,22 +45,23 @@ def mod_inverse(a: int, modulus: int) -> int:
 
 
 def crt_combine(residue_p: int, residue_q: int, p: int, q: int) -> int:
-    """Combine residues mod p and mod q into the unique value mod p*q.
-
-    Garner's form: r_q + q*((r_p - r_q)*(q^-1 mod p) mod p).
-    """
+    """Combine residues mod p and mod q into the unique value mod p*q, by _garner."""
     residue_p, residue_q, p, q = map(_require_int, ("residue_p", "residue_q", "p", "q"),
                                      (residue_p, residue_q, p, q))
     if p < 2 or q < 2:
         raise InvalidArgumentError("crt moduli must be >= 2")
     if math.gcd(p, q) != 1:
         raise InvalidArgumentError(f"crt moduli must be coprime, gcd({_show(p)}, {_show(q)}) != 1")
-    return _garner(residue_p, residue_q % q, p, q, pow(q, -1, p))
+    return _garner((residue_p, residue_q), (p, q), (pow(q, -1, p), 1))
 
 
-def _garner(residue_p: int, residue_q: int, p: int, q: int, q_inv: int) -> int:
-    """crt_combine, unchecked, for residue_q in [0, q) and q_inv = q**-1 mod p."""
-    return residue_q + q * ((residue_p - residue_q) * q_inv % p)
+def _garner(residues, factors, inverses) -> int:
+    """crt_combine over any coprime factors, unchecked: inverses[i] is the product of the later
+    factors inverted mod factors[i], 1 for the last. For p, q: r_q + q*((r_p - r_q)*q_inv mod p)."""
+    x, m = 0, 1
+    for r, f, inverse in zip(reversed(residues), reversed(factors), reversed(inverses)):
+        x, m = x + m * ((r - x) * inverse % f), m * f
+    return x
 
 
 def _primitive_unity_root(p: int, k: int) -> tuple[int, int]:

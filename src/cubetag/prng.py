@@ -53,7 +53,8 @@ def prng_next(state: PrngState) -> tuple[PrngState, int]:
 def digit_stream(key, seed: int, radix: int, count: int) -> list[int]:
     """First `count` output digits for (key, seed, radix): prng_next's states mod radix, the
     seed never emitted. Each step cubes a = s mod p and b = s mod q, and the digit is Garner's
-    s = b + q*((a - b)*(q^-1 mod p) mod p) reduced mod radix, s itself never formed."""
+    s = b + q*((a - b)*(q^-1 mod p) mod p) reduced mod radix, s itself never formed: _garner's
+    two-factor case written out, since its general loop makes a 2048-bit digit ~20% slower."""
     seed, radix, count = map(_require_int, ("seed", "radix", "count"), (seed, radix, count))
     if count < 0:
         raise InvalidArgumentError(f"count must be >= 0, got {_show(count)}")
@@ -61,7 +62,7 @@ def digit_stream(key, seed: int, radix: int, count: int) -> list[int]:
     if not 2 <= radix < n:
         raise InvalidArgumentError(f"radix must be in [2, {_show(n)}), got {_show(radix)}")
     p, q = key.factors
-    q_inv, q_radix = key._record[1], q % radix
+    q_inv, q_radix = key._record[1][0], q % radix
     a = b = seed
     digits = []
     for _ in range(count):

@@ -1,17 +1,20 @@
-"""Roots of unity modulo primes and two-factor composites.
+"""Roots of unity modulo a key's factors: one prime, or two.
 
 The cipher's companion sets are built from the k-th roots of 1 (k = 2 or 3). Mod a prime one
 rule, ``_prime_unity_roots``, gives them as the powers of one nontrivial root: -1, a recorded or
-certified root, or a searched one (no square root is taken). Mod p*q every pair of per-prime
-roots is joined by CRT. Root sets are ascending, the canonical order the rank tags rely on: 1 or
-3 roots mod a prime, 1, 3, 4 or 9 mod p*q. ``_unity_roots`` builds each key's roots; only a
-cubic key built from its factors alone, none with 9 | f-1, takes the public composite routine.
+certified root, or a searched one (no square root is taken). ``_garner``, the CRT decrypts use,
+joins every choice of one root per factor. Root sets are ascending, the canonical order the tags
+rely on: 1 or 3 roots mod a prime, 1, 3, 4 or 9 mod p*q. ``_unity_roots`` builds each key's; only
+a cubic key built from its two factors alone, none with 9 | f-1, takes the composite routine.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+
 from .errors import InvalidArgumentError, _show
-from .modular import _ProvenPrime, _garner, _primitive_unity_root, crt_combine, is_probable_prime
+from .modular import _ProvenPrime, _garner, _primitive_unity_root, is_probable_prime
 
 __all__ = ["cube_roots_of_unity_composite", "cube_roots_of_unity_prime"]
 
@@ -33,15 +36,15 @@ class UnityRootSet:
 
 
 def _require_odd_prime(p: int) -> _ProvenPrime:
-    if not isinstance(p, int) or p < 3 or p % 2 == 0 or not is_probable_prime(p):
+    if not isinstance(p, int) or p < 3 or not is_probable_prime(p):
         raise InvalidArgumentError(f"{_show(p)} is not an odd prime")
     return _ProvenPrime(p)  # so a later guard accepts p untested
 
 
-def _garner_product(p: int, q: int, roots_p: tuple, roots_q: tuple, q_inv: int) -> UnityRootSet:
-    """The roots of 1 mod p*q: every pair of per-prime roots, joined by Garner's CRT."""
-    combined = sorted(_garner(rp, rq, p, q, q_inv) for rp in roots_p for rq in roots_q)
-    return UnityRootSet(p * q, tuple(combined))
+def _garner_product(factors: tuple, roots: list, inverses: tuple) -> UnityRootSet:
+    """The roots of 1 mod the product of `factors`: every choice of one root per factor, joined."""
+    combined = sorted(_garner(choice, factors, inverses) for choice in itertools.product(*roots))
+    return UnityRootSet(math.prod(factors), tuple(combined))
 
 
 def _prime_unity_roots(f: int, k: int, unity=None, alpha=None) -> tuple[int, ...]:
@@ -64,21 +67,21 @@ def cube_roots_of_unity_prime(p: int) -> UnityRootSet:
 def cube_roots_of_unity_composite(p: int, q: int) -> UnityRootSet:
     """Cube roots of 1 mod p*q, one per pair of per-prime roots: 1, 3 or 9 of them."""
     p, q = _require_odd_prime(p), _require_odd_prime(q)
-    roots = (cube_roots_of_unity_prime(f).roots for f in (p, q))
-    return _garner_product(p, q, *roots, crt_combine(1, 0, p, q) // q)  # q**-1 mod p
+    if p == q:
+        raise InvalidArgumentError(f"factors must be distinct, got {_show(p)} twice")
+    roots = [cube_roots_of_unity_prime(f).roots for f in (p, q)]
+    return _garner_product((p, q), roots, (pow(q, -1, p), 1))
 
 
 def _unity_roots(k: int, factors: tuple[int, ...], alpha=None):
     """A key's roots of 1 and its record, which decrypts reuse: per factor f, the (g**t, zeta) of
-    the AMM search where k**2 | f-1 (else None), and for two factors Garner's q**-1 mod p. Mod
-    each f the roots follow _prime_unity_roots, given that record and alpha, except that a cubic
-    key built from its factors alone with no such record takes the public composite routine,
-    looked up as a module global at call time so a wrapper installed on it sees the call."""
+    the AMM search where k**2 | f-1 (else None), and f's inverse for _garner. Mod each f the roots
+    follow _prime_unity_roots, given that record and alpha, except that a cubic key built from
+    its two factors alone with no AMM record takes the public composite routine, looked up as a
+    module global at call time so a wrapper installed on it sees the call."""
     unity = tuple(_primitive_unity_root(f, k) if (f - 1) % k**2 == 0 else None for f in factors)
-    q_inv = crt_combine(1, 0, *factors) // factors[1] if len(factors) == 2 else None
-    if q_inv and k == 3 and alpha is None and not any(unity):
-        return cube_roots_of_unity_composite(*factors), (unity, q_inv)
+    inverses = (*(pow(math.prod(factors[i + 1:]), -1, f) for i, f in enumerate(factors[:-1])), 1)
+    if k == 3 and alpha is None and unity == (None, None):
+        return cube_roots_of_unity_composite(*factors), (unity, inverses)
     roots = [_prime_unity_roots(f, k, u, alpha) for f, u in zip(factors, unity)]
-    if q_inv:
-        return _garner_product(*factors, *roots, q_inv), (unity, q_inv)
-    return UnityRootSet(factors[0], roots[0]), (unity, None)
+    return _garner_product(factors, roots, inverses), (unity, inverses)

@@ -17,15 +17,6 @@ def sieve(limit: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
-def naive_mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """Exponent-fold repeated modular multiplication."""
-    result = 1 % modulus
-    base %= modulus
-    for _ in range(exponent):
-        result = result * base % modulus
-    return result
-
-
 def kth_roots_of_unity(n: int, k: int) -> tuple[int, ...]:
     """All x in [1, n) with x**k = 1 mod n, ascending."""
     return tuple(x for x in range(1, n) if pow(x, k, n) == 1)
@@ -38,19 +29,6 @@ def kth_root_preimages(n: int, k: int) -> dict[int, list[int]]:
         if math.gcd(x, n) == 1:
             preimages.setdefault(pow(x, k, n), []).append(x)
     return preimages
-
-
-def squares_mod(p: int) -> set[int]:
-    """The set of nonzero squares modulo p."""
-    return {x * x % p for x in range(1, p)}
-
-
-def smallest_sqrt(b: int, p: int) -> int | None:
-    """Smallest square root of b mod p by exhaustive search, None if none."""
-    for x in range(p):
-        if x * x % p == b % p:
-            return x
-    return None
 
 
 def trial_division_prime(n: int) -> bool:

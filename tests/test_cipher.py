@@ -233,6 +233,17 @@ class TestRootCountAgainstRabin:
             counts.append(exponentiations())
         assert counts == decrypt_counts
 
+    @pytest.mark.parametrize("mode", list(KeyMode), ids=lambda mode: mode.name)
+    def test_one_recombination_per_decrypt(self, keys1024, mode, record_calls):
+        # every mode joins its roots mod each factor by the one Garner loop: prime mode's one
+        # root passes through it too, as the one-factor case
+        key = keys1024[mode]
+        calls = record_calls(cubetag.cipher, "_garner")
+        for m in (2, 3, 5, 7):
+            ct = encrypt(m, key)
+            calls.clear()
+            assert decrypt(ct, key) == m and len(calls) == 1, m
+
 
 @pytest.mark.parametrize("mode", [KeyMode.CUBIC3_COMPOSITE, KeyMode.CUBIC9_COMPOSITE,
                                   KeyMode.SQUARE_COMPOSITE, pytest.param(None, id="below_300")],

@@ -101,6 +101,8 @@ ONE_CLASS_PER_BAD_INPUT = {
                 "message must be in [1, 91), got 2.0"),
     "m str": (lambda key91: encrypt("2", key91), InvalidMessageError,
               "message must be in [1, 91), got '2'"),
+    "m=n": (lambda key91: encrypt(91, key91), InvalidMessageError,
+            "message must be in [1, 91), got 91"),
     "ct mode str": (lambda key91: parse_ciphertext("c=34\ntag=1\n", "x"),
                     InvalidArgumentError, "mode must be a KeyMode, got 'x'"),
     "prime float": (lambda key91: is_probable_prime(7.0), InvalidArgumentError,
